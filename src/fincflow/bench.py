@@ -214,8 +214,12 @@ def measure_scaling(
     runs: int = 10,
     seed: int = 0,
 ) -> dict:
-    """Median wall times of single-worker raster inversion vs the
-    multi-worker wavefront across doubling sizes, plus growth ratios."""
+    """Median wall times of the sequential raster inversion vs the
+    wavefront across doubling sizes, plus growth ratios.
+
+    The wavefront solves each of its H+W-1 anti-diagonals with one
+    batched gather and contraction; ``workers`` is passed through for
+    API stability and does not change its result."""
     rng = np.random.default_rng(seed)
     medians: dict[str, dict[int, float]] = {"reference": {}, "wavefront": {}}
     for n in sizes:

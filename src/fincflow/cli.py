@@ -48,7 +48,14 @@ def build_parser():
     common.add_argument("--config", type=str, default=None, help="key = value file")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--dtype", choices=("f32", "f64"), default="f32")
-    common.add_argument("--workers", type=int, default=_default_workers())
+    common.add_argument(
+        "--workers",
+        type=int,
+        default=_default_workers(),
+        help="must be >= 1; kept for CLI stability: the inverse solves each of "
+        "its H+W-1 anti-diagonals with one batched gather and contraction, and "
+        "results are identical for any value (default: FINCFLOW_WORKERS or 1)",
+    )
     common.add_argument("--out", type=str, default="out")
 
     parser = argparse.ArgumentParser(prog="fincflow", description=__doc__)
@@ -277,7 +284,10 @@ def _parse_sizes(raw: str) -> list[int]:
         tok = tok.strip()
         if not tok:
             continue
-        n = int(tok)
+        try:
+            n = int(tok)
+        except ValueError:
+            raise BadFormat(f"bench sizes must be integers, got {tok!r}") from None
         if n < 8 or n > 256 or n & (n - 1):
             raise BadFormat(f"bench sizes must be powers of two in [8, 256], got {n}")
         sizes.append(n)

@@ -8,15 +8,18 @@ inverse paths are provided:
 
 * ``dense_invert``       -- triangular solve of the explicit matrix (oracle)
 * ``pcb_invert_reference`` -- sequential raster back-substitution (oracle)
-* ``pcb_invert_wavefront`` -- anti-diagonal sweep; every element of a
-  diagonal is updated concurrently by a worker pool, with a barrier
-  between consecutive diagonals.  H+W-1 barrier phases total.
+* ``pcb_invert_wavefront`` -- anti-diagonal sweep; all elements of a
+  diagonal are solved together by one batched gather and one matrix
+  contraction, and each diagonal reads the ones before it: H+W-1
+  sequential phases total.  The ``workers`` argument is accepted for API
+  and CLI stability; results are identical for any value.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,11 +44,6 @@ _OPPOSITE = {
     Orientation.BL: Orientation.TR,
     Orientation.BR: Orientation.TL,
 }
-
-# Workers only split diagonals at least this long; a chunk needs a few
-# hundred elements before the per-task dispatch cost (~0.1 ms) is repaid.
-# Chunk boundaries never change results, so this is a pure tuning knob.
-_MIN_CHUNK = 256
 
 
 def anchor_position(orientation: Orientation, k: int) -> tuple[int, int]:
@@ -141,7 +139,7 @@ class FincFlowUnit:
 class InvertStats:
     """Instrumentation for one inversion call.
 
-    ``phases`` counts barrier-separated anti-diagonal sweeps.  ``madds``
+    ``phases`` counts sequential anti-diagonal sweeps.  ``madds``
     counts multiply-adds over all output elements: each in-bounds
     non-anchor spatial tap of one output element contributes C (one per
     input channel).  ``max_element_madds`` is the worst single-element
@@ -423,23 +421,38 @@ def pcb_invert_reference(y: np.ndarray, pcb: PaddedConvBlock) -> np.ndarray:
 # wavefront inversion
 
 
-def _diag_pixels(h: int, w: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    lo = max(0, d - (w - 1))
-    hi = min(h - 1, d)
-    hs = np.arange(lo, hi + 1)
-    return hs, d - hs
+class _Diagonal(NamedTuple):
+    """One anti-diagonal of the flattened (Hp*Wp) padded pixel plane."""
+
+    target: slice  # its pixels: consecutive ones sit Wp-1 apart
+    gather: np.ndarray  # (P, k*k-1) source of every non-anchor tap
+    taps: int  # in-bounds non-anchor taps summed over the diagonal
+    max_taps: int  # most in-bounds non-anchor taps of any one pixel
 
 
-def _chunk_bounds(length: int, workers: int) -> list[tuple[int, int]]:
-    nchunks = max(1, min(workers, length // _MIN_CHUNK or 1))
-    edges = np.linspace(0, length, nchunks + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+@lru_cache(maxsize=32)
+def _wavefront_plan(h: int, w: int, k: int) -> tuple[_Diagonal, ...]:
+    """Per-diagonal gather plan for an (h, w) image padded by k-1 on the
+    top and left.  Every unit at one level shares it, so it is cached;
+    the index arrays are read-only because every caller gets the same ones."""
+    wp = w + k - 1
+    th, tw = np.divmod(np.arange(1, k * k), k)  # non-anchor taps (k_h, k_w)
+    plan = []
+    for d in range(h + w - 1):
+        hs = np.arange(max(0, d - (w - 1)), min(h - 1, d) + 1)
+        ws = d - hs
+        pix = (hs + k - 1) * wp + ws + k - 1
+        gather = pix[:, None] - (th * wp + tw)
+        gather.setflags(write=False)
+        inb = ((hs[:, None] >= th) & (ws[:, None] >= tw)).sum(axis=1)
+        target = slice(pix[0], pix[-1] + 1, max(wp - 1, 1))  # wp == 1: one pixel
+        plan.append(_Diagonal(target, gather, int(inb.sum()), int(inb.max())))
+    return tuple(plan)
 
 
 def _wavefront_invert_tl(
     y: np.ndarray,
     kernels: np.ndarray,
-    workers: int = 1,
     stats: InvertStats | None = None,
 ) -> np.ndarray:
     """Core anti-diagonal solver for TL-padded blocks.
@@ -447,79 +460,38 @@ def _wavefront_invert_tl(
     y: (G, N, C, H, W) stacked problems; kernels: (G, C, C, k, k), one
     kernel per group.  For every diagonal d the update
 
-        X[c,h,w] -= sum over in-bounds non-anchor taps of
+        X[c,h,w] -= sum over non-anchor taps of
                     X[k_c, h-k_h, w-k_w] * K[c, k_c, k-1-k_h, k-1-k_w]
 
-    runs concurrently for all (n, h, w) on the diagonal, split into
-    contiguous chunks across the worker pool; a barrier separates
-    consecutive diagonals.  The tap iteration order (k_h, then k_w, then
-    k_c) is fixed and every update is elementwise along the chunk axis,
-    so results are bit-identical for any worker count.
+    is one gather of the (G, P, (k*k-1)*C, N) patch of all P pixels on
+    the diagonal and one batched matmul with the (G, C, (k*k-1)*C) tap
+    matrix.  Out-of-image taps read the zero padding, so no tap needs a
+    validity mask.  The H+W-1 diagonals are the sequential phases: each
+    reads the values the previous ones wrote.
     """
     g_cnt, n, c, h, w = y.shape
     k = kernels.shape[-1]
-    x = y.copy()
-    # kflip[g, co, kc, kh, kw] = K[g, co, kc, k-1-kh, k-1-kw]
-    kflip = np.ascontiguousarray(kernels[:, :, :, ::-1, ::-1].astype(y.dtype, copy=False))
-    taps = [(kh, kw) for kh in range(k) for kw in range(k) if (kh, kw) != (0, 0)]
-
-    def solve_slice(idx_n, idx_h, idx_w, lo, hi):
-        nn = idx_n[lo:hi]
-        hh = idx_h[lo:hi]
-        ww = idx_w[lo:hi]
-        acc = np.zeros((g_cnt, c, hi - lo), dtype=x.dtype)
-        for kh, kw in taps:
-            sh = hh - kh
-            sw = ww - kw
-            valid = (sh >= 0) & (sw >= 0)
-            if not valid.any():
-                continue
-            vmask = valid.astype(x.dtype)
-            np.maximum(sh, 0, out=sh)
-            np.maximum(sw, 0, out=sw)
-            for g in range(g_cnt):
-                xg = x[g]
-                kg = kflip[g]
-                for kc in range(c):
-                    src = xg[nn, kc, sh, sw] * vmask
-                    acc[g] += kg[:, kc, kh, kw][:, None] * src[np.newaxis, :]
-        for g in range(g_cnt):
-            x[g][nn, :, hh, ww] -= acc[g].T
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for d in range(h + w - 1):
-            hs, ws = _diag_pixels(h, w, d)
-            p_cnt = hs.size
-            idx_n = np.repeat(np.arange(n), p_cnt)
-            idx_h = np.tile(hs, n)
-            idx_w = np.tile(ws, n)
-            length = n * p_cnt
-            bounds = _chunk_bounds(length, workers)
-            if pool is None or len(bounds) == 1:
-                for lo, hi in bounds:
-                    solve_slice(idx_n, idx_h, idx_w, lo, hi)
-            else:
-                futs = [
-                    pool.submit(solve_slice, idx_n, idx_h, idx_w, lo, hi)
-                    for lo, hi in bounds
-                ]
-                for fut in futs:
-                    fut.result()  # barrier: next diagonal reads these values
-            if stats is not None:
-                vt = np.zeros(p_cnt, dtype=np.int64)
-                for kh, kw in taps:
-                    vt += (hs >= kh) & (ws >= kw)
-                stats.phases += 1
-                stats.madds += int(g_cnt * n * c * c * vt.sum())
-                if p_cnt:
-                    stats.max_element_madds = max(
-                        stats.max_element_madds, int(vt.max()) * c
-                    )
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
-    return x
+    plan = _wavefront_plan(h, w, k)
+    # Batch innermost: a gathered pixel is one contiguous (C, N) block.
+    xp = np.zeros((g_cnt, h + k - 1, w + k - 1, c, n), dtype=y.dtype)
+    xp[:, k - 1 :, k - 1 :] = y.transpose(0, 3, 4, 2, 1)
+    flat = xp.reshape(g_cnt, -1, c, n)
+    # tapmat[g, c, t*C + k_c] = K[g, c, k_c, k-1-k_h, k-1-k_w], tap t = k_h*k + k_w
+    kflip = kernels[:, :, :, ::-1, ::-1].astype(y.dtype, copy=False)
+    tapmat = np.ascontiguousarray(
+        kflip.reshape(g_cnt, c, c, k * k)[..., 1:].transpose(0, 1, 3, 2)
+    ).reshape(g_cnt, 1, c, (k * k - 1) * c)
+    for diag in plan:
+        patch = np.take(flat, diag.gather, axis=1)  # (G, P, k*k-1, C, N)
+        patch = patch.reshape(g_cnt, len(diag.gather), (k * k - 1) * c, n)
+        flat[:, diag.target] -= np.matmul(tapmat, patch)
+    if stats is not None:
+        stats.phases += len(plan)
+        stats.madds += g_cnt * n * c * c * sum(diag.taps for diag in plan)
+        stats.max_element_madds = max(
+            stats.max_element_madds, c * max(diag.max_taps for diag in plan)
+        )
+    return np.ascontiguousarray(xp[:, k - 1 :, k - 1 :].transpose(0, 4, 3, 1, 2))
 
 
 def pcb_invert_wavefront(
@@ -528,9 +500,11 @@ def pcb_invert_wavefront(
     workers: int = 1,
     stats: InvertStats | None = None,
 ) -> np.ndarray:
-    """Invert pcb_forward via the barrier-synchronized anti-diagonal sweep.
+    """Invert pcb_forward via the anti-diagonal sweep of H+W-1 phases.
 
     Non-TL orientations are flipped to TL form, solved, and flipped back.
+    ``workers`` must be >= 1; it is kept for API stability and the result
+    is identical for any value.
     """
     y = require_nchw(y)
     if y.shape[1] != pcb.kernel.channels:
@@ -542,7 +516,7 @@ def pcb_invert_wavefront(
     fl = pcb.orientation.flip_axes
     y_tl = flip(y, fl)
     k_tl = _flip_kernel_to_tl(pcb.kernel)
-    x_tl = _wavefront_invert_tl(y_tl[np.newaxis], k_tl[np.newaxis], workers, stats)[0]
+    x_tl = _wavefront_invert_tl(y_tl[np.newaxis], k_tl[np.newaxis], stats)[0]
     return flip(x_tl, fl)
 
 
@@ -555,8 +529,9 @@ def unit_invert(
     """Invert a whole unit in one batched TL sweep.
 
     The four quarters (and kernels) are flipped to TL form and stacked
-    along a group axis, so all four blocks share every barrier phase;
-    the phase count stays H+W-1 for the whole unit.
+    along a group axis, so all four blocks share every phase; the phase
+    count stays H+W-1 for the whole unit.  ``workers`` is validated as in
+    ``pcb_invert_wavefront`` and does not change the result.
     """
     y = require_nchw(y)
     if y.shape[1] != unit.channels:
@@ -571,7 +546,7 @@ def unit_invert(
         ks.append(_flip_kernel_to_tl(blk.kernel))
     stacked = np.stack(ys)
     kstack = np.stack(ks)
-    solved = _wavefront_invert_tl(stacked, kstack, workers, stats)
+    solved = _wavefront_invert_tl(stacked, kstack, stats)
     outs = [
         flip(solved[i], blk.orientation.flip_axes)
         for i, blk in enumerate(unit.blocks)

@@ -296,42 +296,44 @@ def checkpoint_save(model: FlowModel, path) -> None:
 
 
 def checkpoint_load(path) -> FlowModel:
-    """Rebuild the model and restore every parameter bit-exactly."""
+    """Rebuild the model and restore every parameter bit-exactly.
+
+    The file must hold each of the model's parameters exactly once and
+    nothing after the last record.  Any malformed file raises
+    ``BadFormat``, or ``DimsMismatch`` for a record of the wrong shape or
+    dtype.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != CKPT_MAGIC:
         raise BadMagic(f"{path}: not a checkpoint file")
-    pos = 8
-    (version,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    if version != CKPT_VERSION:
-        raise BadFormat(f"{path}: unsupported checkpoint version {version}")
-    levels, steps, channels, height, width, ksize, hidden = struct.unpack_from(
-        "<7I", data, pos
-    )
-    pos += 28
-    code = data[pos]
-    pos += 4
-    if code not in _CODE_DTYPE:
-        raise BadFormat(f"{path}: unknown dtype code {code}")
-    cfg = ModelConfig(
-        channels, height, width, levels, steps, ksize, hidden, _CODE_DTYPE[code]
-    )
-    model = FlowModel(cfg, identity_init=True, data_init=False)
-    by_name = dict(model.named_params())
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
     try:
+        (version,) = struct.unpack_from("<I", data, 8)
+        if version != CKPT_VERSION:
+            raise BadFormat(f"{path}: unsupported checkpoint version {version}")
+        *dims_cfg, code, count = struct.unpack_from("<7IB3xI", data, 12)
+        pos = 12 + 36
+        if code not in _CODE_DTYPE:
+            raise BadFormat(f"{path}: unknown dtype code {code}")
+        levels, steps, channels, height, width, ksize, hidden = dims_cfg
+        cfg = ModelConfig(
+            channels, height, width, levels, steps, ksize, hidden, _CODE_DTYPE[code]
+        )
+        model = FlowModel(cfg, identity_init=True, data_init=False)
+        by_name = dict(model.named_params())
+        if count != len(by_name):
+            raise BadFormat(
+                f"{path}: {count} parameter records, the model has {len(by_name)}"
+            )
+        dtype = np.dtype("<f4" if code == 1 else "<f8")
+        loaded = set()
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", data, pos)
             pos += 4
             name = data[pos : pos + name_len].decode("utf-8")
             pos += name_len
-            pcode = data[pos]
-            pos += 5
-            dims = struct.unpack_from("<4I", data, pos)
-            pos += 16
-            dtype = np.dtype("<f4") if pcode == 1 else np.dtype("<f8")
+            pcode, *dims = struct.unpack_from("<B4x4I", data, pos)
+            pos += 21
             n_elems = int(np.prod(dims))
             payload = data[pos : pos + n_elems * dtype.itemsize]
             if len(payload) != n_elems * dtype.itemsize:
@@ -339,12 +341,17 @@ def checkpoint_load(path) -> FlowModel:
             pos += len(payload)
             if name not in by_name:
                 raise BadFormat(f"{path}: unknown parameter {name}")
+            if name in loaded:
+                raise BadFormat(f"{path}: parameter {name} appears twice")
+            loaded.add(name)
             target = by_name[name]
             if n_elems != target.value.size or pcode != code:
                 raise DimsMismatch(f"{path}: parameter {name} has wrong shape/dtype")
             arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
             target.value = np.array(arr, dtype=model.dtype).reshape(target.value.shape)
             target.grad = np.zeros_like(target.value)
-    except struct.error as exc:
-        raise BadFormat(f"{path}: truncated checkpoint ({exc})") from exc
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise BadFormat(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
+    if pos != len(data):
+        raise BadFormat(f"{path}: {len(data) - pos} trailing bytes after the last record")
     return model

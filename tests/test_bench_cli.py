@@ -39,7 +39,7 @@ def test_ci_uses_t_distribution_nine_dof():
     vals = np.arange(10, dtype=np.float64)
     got = ci95_half_width(vals)
     s = vals.std(ddof=1)
-    assert got == pytest.approx(2.2621571628540993 * s / math.sqrt(10), rel=1e-12)
+    assert got == pytest.approx(2.2621571627982055 * s / math.sqrt(10), rel=1e-12)
 
 
 def test_bench_pcb_runs_protocol():
@@ -263,9 +263,12 @@ def test_cli_bench_dense_refused_above_cap(tmp_path, capsys):
     assert len(captured.out.strip().splitlines()) == 1  # header only
 
 
-def test_cli_bench_rejects_bad_sizes():
+def test_cli_bench_rejects_bad_sizes(capsys):
     assert main(["bench", "--sizes", "12"]) == 1
     assert main(["bench", "--sizes", "512"]) == 1
+    capsys.readouterr()
+    assert main(["bench", "--sizes", "abc"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_config_file_parse_and_override(tmp_path):

@@ -184,7 +184,9 @@ def madds_enumeration(h, w, k, c, n=1, groups=1):
     return total * c * n * groups  # one count per output channel
 
 
-@pytest.mark.parametrize("h,w,k,c", [(4, 4, 2, 1), (5, 7, 3, 2), (8, 8, 5, 3)])
+@pytest.mark.parametrize(
+    "h,w,k,c", [(4, 4, 2, 1), (5, 7, 3, 2), (8, 8, 5, 3), (2, 9, 5, 2), (3, 1, 1, 2)]
+)
 def test_wavefront_madds_match_enumeration(h, w, k, c):
     rng = np.random.default_rng(7)
     pcb = PaddedConvBlock(random_masked_kernel(c, k, Orientation.TL, rng))
@@ -192,6 +194,12 @@ def test_wavefront_madds_match_enumeration(h, w, k, c):
     stats = InvertStats()
     pcb_invert_wavefront(y, pcb, workers=1, stats=stats)
     assert stats.madds == madds_enumeration(h, w, k, c, n=2)
+    assert stats.phases == h + w - 1
+    # a unit stacks its four blocks as groups sharing every phase
+    unit = random_unit(4 * c, k, rng)
+    stats = InvertStats()
+    unit_invert(rng.normal(size=(2, 4 * c, h, w)), unit, stats=stats)
+    assert stats.madds == madds_enumeration(h, w, k, c, n=2, groups=4)
     assert stats.phases == h + w - 1
 
 
@@ -207,10 +215,6 @@ def test_wavefront_matches_reference_all_orientations(orientation):
 
 
 def test_wavefront_multichunk_threading_bit_identical():
-    # batch large enough that diagonals split into several real chunks
-    from fincflow.invconv import _chunk_bounds
-
-    assert len(_chunk_bounds(64 * 16, 4)) == 4
     rng = np.random.default_rng(42)
     c, k = 2, 3
     pcb = PaddedConvBlock(random_masked_kernel(c, k, Orientation.TL, rng, np.float32))
@@ -330,14 +334,15 @@ def test_unit_invert_round_trip_f32():
 
 def test_unit_invert_matches_per_block_reference():
     rng = np.random.default_rng(17)
-    unit = random_unit(8, 3, rng)
-    y = rng.normal(size=(2, 8, 8, 8))
-    whole = unit_invert(y, unit, workers=2)
-    parts = [
-        pcb_invert_reference(q, blk)
-        for q, blk in zip(channel_split(y, 4), unit.blocks)
-    ]
-    assert np.max(np.abs(whole - np.concatenate(parts, axis=1))) < 1e-9
+    for k, shape in [(3, (2, 8, 8, 8)), (5, (3, 8, 6, 9))]:
+        unit = random_unit(shape[1], k, rng)
+        y = rng.normal(size=shape)
+        whole = unit_invert(y, unit, workers=2)
+        parts = [
+            pcb_invert_reference(q, blk)
+            for q, blk in zip(channel_split(y, 4), unit.blocks)
+        ]
+        assert np.max(np.abs(whole - np.concatenate(parts, axis=1))) < 1e-9, (k, shape)
 
 
 def test_unit_invert_shares_barrier_phases():

@@ -1,5 +1,6 @@
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -325,4 +326,41 @@ def test_checkpoint_truncated(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises((BadFormat, DimsMismatch)):
+        checkpoint_load(path)
+
+
+def _saved_checkpoint(tmp_path, name):
+    path = tmp_path / name
+    checkpoint_save(small_model(seed=19), path)
+    return path, path.read_bytes()
+
+
+def test_checkpoint_truncated_header(tmp_path):
+    path, data = _saved_checkpoint(tmp_path, "head.ckpt")
+    path.write_bytes(data[:20])
+    with pytest.raises(BadFormat, match="truncated"):
+        checkpoint_load(path)
+
+
+def test_checkpoint_record_count_must_match_model(tmp_path):
+    path, data = _saved_checkpoint(tmp_path, "count.ckpt")
+    path.write_bytes(data[:44] + struct.pack("<I", 1) + data[48:])
+    with pytest.raises(BadFormat, match="parameter records"):
+        checkpoint_load(path)
+
+
+def test_checkpoint_duplicate_record(tmp_path):
+    path, data = _saved_checkpoint(tmp_path, "dup.ckpt")
+    (name_len,) = struct.unpack_from("<I", data, 48)
+    dims = struct.unpack_from("<4I", data, 48 + 4 + name_len + 5)
+    end = 48 + 4 + name_len + 21 + 4 * math.prod(dims)  # f32 payload
+    path.write_bytes(data[:end] + data[48:end] + data[end:])
+    with pytest.raises(BadFormat, match="twice"):
+        checkpoint_load(path)
+
+
+def test_checkpoint_trailing_bytes(tmp_path):
+    path, data = _saved_checkpoint(tmp_path, "tail.ckpt")
+    path.write_bytes(data + b"\x00")
+    with pytest.raises(BadFormat, match="trailing"):
         checkpoint_load(path)
