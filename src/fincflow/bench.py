@@ -215,22 +215,17 @@ def measure_scaling(
     seed: int = 0,
 ) -> dict:
     """Median wall times of the sequential raster inversion vs the
-    wavefront across doubling sizes, plus growth ratios.
+    wavefront across doubling sizes, plus growth ratios.  Each size and
+    strategy is one ``bench_pcb`` call of runs+1 runs, the first discarded.
 
     The wavefront solves each of its H+W-1 anti-diagonals with one
     batched gather and contraction; ``workers`` is passed through for
     API stability and does not change its result."""
-    rng = np.random.default_rng(seed)
     medians: dict[str, dict[int, float]] = {"reference": {}, "wavefront": {}}
     for n in sizes:
-        pcb = PaddedConvBlock(random_masked_kernel(c, k, Orientation.TL, rng, np.float32))
-        y = rng.normal(size=(batch, c, n, n)).astype(np.float32)
-        for strategy, fn in (
-            ("reference", lambda: pcb_invert_reference(y, pcb)),
-            ("wavefront", lambda: pcb_invert_wavefront(y, pcb, workers=workers)),
-        ):
-            times = [_timed(fn) for _ in range(runs + 1)][1:]  # drop warm-up
-            medians[strategy][n] = float(np.median(times))
+        for strategy in medians:
+            report = bench_pcb(n, c, k, batch, workers, strategy, seed, runs=runs + 1)
+            medians[strategy][n] = float(np.median(report.kept))
     ratios = {}
     for strategy in medians:
         ratios[strategy] = {

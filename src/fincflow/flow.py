@@ -39,7 +39,7 @@ from .invconv import (
     unit_forward,
     unit_invert,
 )
-from .tensor import require_nchw
+from .tensor import correlate, correlate_wgrad, require_nchw
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -81,7 +81,10 @@ def gaussian_logp_grads(z, mean, log_sd):
 
 
 class Conv2d:
-    """Same-padded stride-1 cross-correlation with bias (k odd)."""
+    """Same-padded stride-1 cross-correlation with bias (k odd).
+
+    Forward, weight gradient and input gradient are each one
+    ``correlate``/``correlate_wgrad`` call: k*k BLAS matmuls."""
 
     def __init__(self, c_in, c_out, k, rng=None, dtype=np.float64, zero_init=False):
         if zero_init:
@@ -103,35 +106,15 @@ class Conv2d:
         return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
 
     def forward(self, x):
-        k = self.k
-        h, w = x.shape[2], x.shape[3]
-        xp = self._padded(x)
-        kw = self.w.value
-        y = np.zeros((x.shape[0], kw.shape[0], h, w), dtype=x.dtype)
-        for p in range(k):
-            for q in range(k):
-                y += np.einsum("oc,nchw->nohw", kw[:, :, p, q], xp[:, :, p : p + h, q : q + w])
-        return y + self.b.value[None, :, None, None]
+        return correlate(self._padded(x), self.w.value) + self.b.value[None, :, None, None]
 
     def backward(self, gy, x):
-        k = self.k
-        h, w = x.shape[2], x.shape[3]
-        xp = self._padded(x)
-        for p in range(k):
-            for q in range(k):
-                self.w.grad[:, :, p, q] += np.einsum(
-                    "nohw,nchw->oc", gy, xp[:, :, p : p + h, q : q + w]
-                )
+        self.w.grad += correlate_wgrad(gy, self._padded(x), self.k)
         self.b.grad += gy.sum(axis=(0, 2, 3))
         # input gradient: same-padded correlation with the channel-transposed,
         # spatially flipped kernel
-        kt = np.ascontiguousarray(self.w.value.swapaxes(0, 1)[:, :, ::-1, ::-1])
-        gp = self._padded(gy)
-        gx = np.zeros_like(x)
-        for p in range(k):
-            for q in range(k):
-                gx += np.einsum("oc,nchw->nohw", kt[:, :, p, q], gp[:, :, p : p + h, q : q + w])
-        return gx
+        kt = self.w.value.swapaxes(0, 1)[:, :, ::-1, ::-1]
+        return correlate(self._padded(gy), kt)
 
 
 class CouplingNet:
@@ -475,13 +458,17 @@ class ModelConfig:
         return np.float32 if self.dtype == "f32" else np.float64
 
     def validate(self):
-        div = 2**self.levels
-        if self.height % div or self.width % div:
+        sizes = ("channels", "height", "width", "kernel_size", "hidden", "levels", "steps")
+        small = [name for name in sizes if getattr(self, name) < 1]
+        if small:
+            raise ShapeMismatch(f"{', '.join(small)} must be >= 1")
+        # 2^L divides a side only if 2^L <= side; test that first so that a
+        # huge L from a file header never builds the 2^L integer
+        fits = self.levels < min(self.height, self.width).bit_length()
+        if not fits or self.height % 2**self.levels or self.width % 2**self.levels:
             raise ShapeMismatch(
-                f"H={self.height}, W={self.width} must be divisible by 2^L={div}"
+                f"H={self.height}, W={self.width} must be divisible by 2^L=2^{self.levels}"
             )
-        if self.levels < 1 or self.steps < 1:
-            raise ShapeMismatch("levels and steps must be >= 1")
 
 
 class FlowModel:

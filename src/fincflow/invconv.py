@@ -28,6 +28,8 @@ from .tensor import (
     Orientation,
     channel_concat,
     channel_split,
+    correlate,
+    correlate_wgrad,
     flip,
     pad_oriented,
     require_nchw,
@@ -74,8 +76,8 @@ class MaskedKernel:
 
     def __post_init__(self):
         w = np.asarray(self.weights)
-        if w.ndim != 4 or w.shape[0] != w.shape[1] or w.shape[2] != w.shape[3]:
-            raise ShapeMismatch(f"kernel must be (C, C, k, k), got {w.shape}")
+        if w.ndim != 4 or w.shape[0] != w.shape[1] or w.shape[2] != w.shape[3] or not w.size:
+            raise ShapeMismatch(f"kernel must be (C, C, k, k) with C, k >= 1, got {w.shape}")
         self.weights = w
 
     @property
@@ -219,23 +221,13 @@ def _flip_kernel_to_tl(kern: MaskedKernel) -> np.ndarray:
 # forward
 
 
-def _forward_tl(x: np.ndarray, kw: np.ndarray) -> np.ndarray:
-    k = kw.shape[-1]
-    h, w = x.shape[2], x.shape[3]
-    xp = pad_oriented(x, Orientation.TL, k)
-    y = np.zeros_like(x)
-    for p in range(k):
-        for q in range(k):
-            y += np.einsum("oc,nchw->nohw", kw[:, :, p, q], xp[:, :, p : p + h, q : q + w])
-    return y
-
-
 def pcb_forward(x: np.ndarray, pcb: PaddedConvBlock) -> np.ndarray:
     """Cross-correlate the oriented zero-padding of x with the kernel.
 
     Non-TL orientations are computed by flipping to TL form and back, so
-    the reduction identity holds bit-exactly.  Output dims equal input
-    dims; the log-det contribution is exactly 0.
+    the reduction identity holds bit-exactly; the TL form is one
+    ``correlate`` of the TL padding.  Output dims equal input dims; the
+    log-det contribution is exactly 0.
     """
     x = require_nchw(x)
     kern = pcb.kernel
@@ -243,7 +235,7 @@ def pcb_forward(x: np.ndarray, pcb: PaddedConvBlock) -> np.ndarray:
         raise ShapeMismatch(f"input has C={x.shape[1]}, kernel expects {kern.channels}")
     fl = pcb.orientation.flip_axes
     kw = _flip_kernel_to_tl(kern).astype(x.dtype, copy=False)
-    return flip(_forward_tl(flip(x, fl), kw), fl)
+    return flip(correlate(pad_oriented(flip(x, fl), Orientation.TL, kern.k), kw), fl)
 
 
 def pcb_backward(
@@ -253,21 +245,17 @@ def pcb_backward(
 
     The input gradient is itself a padded convolution: opposite corner,
     kernel transposed over channels and flipped over both spatial axes.
+    The weight gradient is one ``correlate_wgrad`` of the oriented padding
+    of x, cast to the kernel's dtype.
     """
     grad_y = require_nchw(grad_y)
     x = require_nchw(x)
     kern = pcb.kernel
-    k, h, w = kern.k, x.shape[2], x.shape[3]
     adj_w = np.ascontiguousarray(kern.weights.swapaxes(0, 1)[:, :, ::-1, ::-1])
     adj = PaddedConvBlock(MaskedKernel(adj_w, _OPPOSITE[pcb.orientation]))
     grad_x = pcb_forward(grad_y, adj)
-    xp = pad_oriented(x, pcb.orientation, k)
-    grad_w = np.zeros_like(kern.weights)
-    for p in range(k):
-        for q in range(k):
-            grad_w[:, :, p, q] = np.einsum(
-                "nohw,nchw->oc", grad_y, xp[:, :, p : p + h, q : q + w]
-            )
+    xp = pad_oriented(x, pcb.orientation, kern.k)
+    grad_w = correlate_wgrad(grad_y, xp, kern.k).astype(kern.weights.dtype, copy=False)
     return grad_x, grad_w
 
 

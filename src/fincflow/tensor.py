@@ -1,5 +1,6 @@
 """Rank-4 (N, C, H, W) tensor helpers: oriented padding, flips, channel
-split/concat, and the ``.ften`` binary tensor format.
+split/concat, the one convolution primitive (``correlate`` and its kernel
+gradient ``correlate_wgrad``) and the ``.ften`` binary tensor format.
 
 Tensors are plain numpy arrays in C order with dtype float32 or float64.
 The element at (n, c, h, w) lives at flat offset ((n*C + c)*H + h)*W + w,
@@ -129,6 +130,48 @@ def channel_concat(xs: list[np.ndarray]) -> np.ndarray:
         if x.dtype != first.dtype:
             raise ShapeMismatch(f"cannot concat {x.dtype} with {first.dtype}")
     return np.ascontiguousarray(np.concatenate(xs, axis=1))
+
+
+def correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Valid cross-correlation of a padded (N, C, Hp, Wp) input with an
+    (O, C, k, k) kernel: y[n,o,i,j] = sum_{c,p,q} w[o,c,p,q] xp[n,c,i+p,j+q],
+    shape (N, O, Hp-k+1, Wp-k+1).
+
+    One BLAS matmul per tap over the flattened padded plane: output (i, j)
+    is flat offset i*Wp+j and tap (p, q) reads p*Wp+q further on, so each
+    tap's operand is a strided view of xp, not a copy.  The k-1 columns
+    between output rows are computed and dropped.
+    """
+    n, c, hp, wp = xp.shape
+    o, _, k, _ = w.shape
+    h, wd = hp - k + 1, wp - k + 1
+    span = (h - 1) * wp + wd  # flat offsets from pixel (0, 0) to (h-1, wd-1)
+    flat = xp.reshape(n, c, hp * wp)
+    y = np.zeros((n, o, span), dtype=xp.dtype)
+    for p, q in np.ndindex(k, k):
+        s = p * wp + q
+        y += w[:, :, p, q] @ flat[:, :, s : s + span]
+    rows = np.lib.stride_tricks.sliding_window_view(y, wd, axis=2)[:, :, ::wp]
+    return np.ascontiguousarray(rows)
+
+
+def correlate_wgrad(gy: np.ndarray, xp: np.ndarray, k: int) -> np.ndarray:
+    """Kernel gradient of ``correlate``: the (O, C, k, k) array
+    g[o,c,p,q] = sum_{n,i,j} gy[n,o,i,j] xp[n,c,i+p,j+q].  gy is laid out
+    on the flattened plane of ``correlate`` (zeros in the gap columns) and
+    each tap is one batched matmul with a strided view of xp."""
+    n, o, h, wd = gy.shape
+    c, hp, wp = xp.shape[1:]
+    span = (h - 1) * wp + wd
+    flat = xp.reshape(n, c, hp * wp)
+    gyp = np.zeros((n, o, h, wp), dtype=gy.dtype)
+    gyp[:, :, :, :wd] = gy
+    gyp = gyp.reshape(n, o, h * wp)[:, :, :span]
+    g = np.empty((o, c, k, k), dtype=np.result_type(gy, xp))
+    for p, q in np.ndindex(k, k):
+        s = p * wp + q
+        g[:, :, p, q] = np.matmul(gyp, flat[:, :, s : s + span].transpose(0, 2, 1)).sum(axis=0)
+    return g
 
 
 def write_tensor(path, x: np.ndarray) -> None:

@@ -301,7 +301,9 @@ def checkpoint_load(path) -> FlowModel:
     The file must hold each of the model's parameters exactly once and
     nothing after the last record.  Any malformed file raises
     ``BadFormat``, or ``DimsMismatch`` for a record of the wrong shape or
-    dtype.
+    dtype, or ``ShapeMismatch`` for a header that names an invalid
+    ``ModelConfig``.  A header whose largest parameter would not fit in the
+    file is refused before the model is allocated.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -319,13 +321,26 @@ def checkpoint_load(path) -> FlowModel:
         cfg = ModelConfig(
             channels, height, width, levels, steps, ksize, hidden, _CODE_DTYPE[code]
         )
+        cfg.validate()
+        # Before allocating, the payload must hold one record (>= 25 bytes)
+        # per flow step and the largest parameter: a coupling 1x1 conv
+        # (hidden^2), or at the last level (c = channels * 2^(L+1) channels)
+        # the Inv1x1 (c^2) or a unit kernel ((c/4)^2 k^2).
+        c_last = channels * 2 ** (levels + 1)
+        largest = max(hidden**2, c_last**2, (c_last // 4) ** 2 * ksize**2)
+        dtype = np.dtype("<f4" if code == 1 else "<f8")
+        need = max(largest * dtype.itemsize, 25 * levels * steps)
+        if need > len(data) - pos:
+            raise BadFormat(
+                f"{path}: header implies at least {need} payload bytes, "
+                f"the file holds {len(data) - pos}"
+            )
         model = FlowModel(cfg, identity_init=True, data_init=False)
         by_name = dict(model.named_params())
         if count != len(by_name):
             raise BadFormat(
                 f"{path}: {count} parameter records, the model has {len(by_name)}"
             )
-        dtype = np.dtype("<f4" if code == 1 else "<f8")
         loaded = set()
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", data, pos)

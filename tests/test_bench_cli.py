@@ -95,6 +95,7 @@ def test_run_checks_dense_skip_notice():
 def test_cli_check_exit_codes():
     assert main(["check", "--size", "8", "--channels", "4", "--workers", "2"]) == 0
     assert main(["check", "--size", "8", "--inject", "anchor"]) == 1
+    assert main(["check", "--size", "8", "--kernel-size", "0"]) == 1
 
 
 def test_cli_train_sample_reconstruct_round_trip(tmp_path, capsys):
@@ -174,12 +175,12 @@ def test_cli_sample_temperature_zero_identical(tmp_path):
     assert a == b
 
 
-def test_cli_train_rejects_bad_levels(tmp_path):
-    rc = main(
-        ["train", "--size", "8", "--levels", "4", "--out", str(tmp_path / "x"), "--epochs", "1"]
-    )
-    assert rc == 1
-    assert not (tmp_path / "x" / "model.ckpt").exists()
+def test_cli_train_rejects_bad_levels(tmp_path, capsys):
+    for bad in (["--levels", "4"], ["--kernel-size", "0"], ["--hidden", "0"]):
+        rc = main(["train", "--size", "8", *bad, "--out", str(tmp_path / "x"), "--epochs", "1"])
+        assert rc == 1, bad
+        assert "error:" in capsys.readouterr().err, bad
+        assert not (tmp_path / "x" / "model.ckpt").exists()
 
 
 def test_cli_train_deterministic_rerun(tmp_path):

@@ -23,10 +23,13 @@ from fincflow.flow import (
 )
 
 
-def toy_model(seed=0, dtype="f64", levels=1, steps=2, c=4, hw=4, hidden=8, perturb=0.05):
+def toy_model(
+    seed=0, dtype="f64", levels=1, steps=2, c=4, hw=4, hidden=8, perturb=0.05, width=None
+):
     """Small f64 model with every parameter nudged away from its init so
-    that log-dets and gradients are generic."""
-    cfg = ModelConfig(c, hw, hw, levels, steps, kernel_size=3, hidden=hidden, dtype=dtype)
+    that log-dets and gradients are generic.  ``width`` defaults to ``hw``."""
+    width = hw if width is None else width
+    cfg = ModelConfig(c, hw, width, levels, steps, kernel_size=3, hidden=hidden, dtype=dtype)
     rng = np.random.default_rng(seed)
     model = FlowModel(cfg, rng, data_init=False)
     if perturb:
@@ -297,6 +300,13 @@ def test_model_shape_checks():
         model.forward(np.zeros((1, 4, 6, 8)))
     with pytest.raises(ShapeMismatch):
         ModelConfig(4, 12, 12, levels=3, steps=1).validate()
+    for field in ("channels", "height", "width", "kernel_size", "hidden", "levels", "steps"):
+        bad = ModelConfig(4, 8, 8, levels=2, steps=1)
+        setattr(bad, field, 0)
+        with pytest.raises(ShapeMismatch, match=field):
+            bad.validate()
+    with pytest.raises(ShapeMismatch):
+        ModelConfig(4, 8, 8, levels=2**32 - 1, steps=1).validate()
 
 
 def test_model_sample_seeded_and_temperature_zero():
@@ -395,9 +405,11 @@ def gradient_check(model, x, floor=1e-6, eps=1e-4):
 
 
 def test_gradient_check_all_parameters():
-    model = toy_model(seed=23, hw=4, steps=1, hidden=4)
-    x = np.random.default_rng(24).normal(size=(2, 4, 4, 4))
-    assert gradient_check(model, x) < 1e-3
+    # the non-square input catches a swapped H/W in a convolution reshape
+    for width in (4, 8):
+        model = toy_model(seed=23, hw=4, steps=1, hidden=4, width=width)
+        x = np.random.default_rng(24).normal(size=(2, 4, 4, width))
+        assert gradient_check(model, x) < 1e-3, width
 
 
 def test_anchor_gradient_zero_after_mask():

@@ -413,8 +413,8 @@ def test_pcb_backward_weights_finite_difference():
     rng = np.random.default_rng(22)
     c, k = 2, 3
     pcb = PaddedConvBlock(random_masked_kernel(c, k, Orientation.TR, rng))
-    x = rng.normal(size=(2, c, 4, 4))
-    gy = rng.normal(size=(2, c, 4, 4))
+    x = rng.normal(size=(2, c, 4, 5))
+    gy = rng.normal(size=(2, c, 4, 5))
     _, gw = pcb_backward(gy, x, pcb)
     eps = 1e-6
     w0 = pcb.kernel.weights

@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from fincflow.errors import BadFormat, BadMagic, DimsMismatch, NonFiniteLoss
+import fincflow.train
+from fincflow.errors import BadFormat, BadMagic, DimsMismatch, FincError, NonFiniteLoss
 from fincflow.flow import FlowModel, ModelConfig
 from fincflow.images import read_image, write_image
 from fincflow.invconv import anchor_position
@@ -364,3 +365,32 @@ def test_checkpoint_trailing_bytes(tmp_path):
     path.write_bytes(data + b"\x00")
     with pytest.raises(BadFormat, match="trailing"):
         checkpoint_load(path)
+
+
+# header fields: levels, steps, channels, height, width, kernel_size, hidden
+_HEADER_FIELD = {"steps": 16, "height": 24, "kernel_size": 32, "hidden": 36}
+
+
+def _patch_header(data, field, value):
+    at = _HEADER_FIELD[field]
+    return data[:at] + struct.pack("<I", value) + data[at + 4 :]
+
+
+def test_checkpoint_header_invalid_config(tmp_path):
+    path, data = _saved_checkpoint(tmp_path, "cfg.ckpt")
+    for field in ("kernel_size", "height"):
+        path.write_bytes(_patch_header(data, field, 0))
+        with pytest.raises(FincError, match=field):
+            checkpoint_load(path)
+
+
+def test_checkpoint_header_bounded_before_model_is_built(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("FlowModel built from an unbounded header")
+
+    monkeypatch.setattr(fincflow.train, "FlowModel", refuse)
+    path, data = _saved_checkpoint(tmp_path, "huge.ckpt")
+    for field, value in (("hidden", 2**20), ("kernel_size", 2**16), ("steps", 2**31)):
+        path.write_bytes(_patch_header(data, field, value))
+        with pytest.raises(BadFormat, match="payload bytes"):
+            checkpoint_load(path)
