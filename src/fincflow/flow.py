@@ -84,7 +84,10 @@ class Conv2d:
     """Same-padded stride-1 cross-correlation with bias (k odd).
 
     Forward, weight gradient and input gradient are each one
-    ``correlate``/``correlate_wgrad`` call: k*k BLAS matmuls."""
+    ``correlate``/``correlate_wgrad`` call.  ``correlate`` picks im2col or
+    kn2row from the channel counts, so a widening forward (c_in < c_out)
+    and the input gradient of a narrowing one are a single matmul per
+    image."""
 
     def __init__(self, c_in, c_out, k, rng=None, dtype=np.float64, zero_init=False):
         if zero_init:
@@ -103,10 +106,15 @@ class Conv2d:
         p = self.k // 2
         if p == 0:
             return x
-        return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        n, c, h, w = x.shape
+        xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p : p + h, p : p + w] = x
+        return xp
 
     def forward(self, x):
-        return correlate(self._padded(x), self.w.value) + self.b.value[None, :, None, None]
+        y = correlate(self._padded(x), self.w.value)
+        y += self.b.value[None, :, None, None]
+        return y
 
     def backward(self, gy, x):
         self.w.grad += correlate_wgrad(gy, self._padded(x), self.k)
@@ -202,7 +210,11 @@ class ActNorm:
 
 
 class Inv1x1:
-    """Per-pixel channel mix by a dense C x C matrix."""
+    """Per-pixel channel mix by a dense C x C matrix.
+
+    Every contraction is one matmul over the (N, C, H*W) view of the
+    activation.  ``inverse`` inverts the weight in f64 on each call and
+    applies W^-1 in the activation's dtype."""
 
     DET_FLOOR = 1e-12
 
@@ -224,22 +236,22 @@ class Inv1x1:
         return float(logabs)
 
     def forward(self, x):
-        n, _, h, w = x.shape
+        n, c, h, w = x.shape
         logdet = n * h * w * self._logabsdet()
-        y = np.einsum("oc,nchw->nohw", self.w.value, x)
+        y = (self.w.value @ x.reshape(n, c, h * w)).reshape(n, c, h, w)
         return y, logdet, (x, x.shape)
 
     def inverse(self, y):
         self._logabsdet()
         n, c, h, w = y.shape
-        flat = y.transpose(1, 0, 2, 3).reshape(c, -1)
-        x = np.linalg.solve(self.w.value.astype(np.float64), flat.astype(np.float64))
-        return x.reshape(c, n, h, w).transpose(1, 0, 2, 3).astype(y.dtype)
+        winv = np.linalg.inv(self.w.value.astype(np.float64)).astype(y.dtype)
+        return (winv @ y.reshape(n, c, h * w)).reshape(n, c, h, w)
 
     def backward(self, gy, gld, cache):
-        x, (n, _, h, w) = _need(cache)
-        gx = np.einsum("oc,nohw->nchw", self.w.value, gy)
-        self.w.grad += np.einsum("nohw,nchw->oc", gy, x)
+        x, (n, c, h, w) = _need(cache)
+        gy = gy.reshape(n, c, h * w)
+        gx = (self.w.value.T @ gy).reshape(n, c, h, w)
+        self.w.grad += (gy @ x.reshape(n, c, h * w).transpose(0, 2, 1)).sum(axis=0)
         winv_t = np.linalg.inv(self.w.value.astype(np.float64)).T
         self.w.grad += gld * n * h * w * winv_t.astype(self.w.grad.dtype)
         return gx

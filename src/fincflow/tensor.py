@@ -2,6 +2,11 @@
 split/concat, the one convolution primitive (``correlate`` and its kernel
 gradient ``correlate_wgrad``) and the ``.ften`` binary tensor format.
 
+``correlate`` is BLAS matmuls over the flattened padded plane.  It picks
+its layout from the channel counts of each call: im2col (one matmul per
+image over a bounded patch buffer) when it widens the channels, kn2row
+(one matmul per kernel tap, no copy) otherwise.
+
 Tensors are plain numpy arrays in C order with dtype float32 or float64.
 The element at (n, c, h, w) lives at flat offset ((n*C + c)*H + h)*W + w,
 which is exactly numpy's row-major layout, so no wrapper class is needed.
@@ -9,6 +14,7 @@ which is exactly numpy's row-major layout, so no wrapper class is needed.
 
 from __future__ import annotations
 
+import math
 import struct
 from enum import Enum
 
@@ -28,6 +34,10 @@ CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
 HEIGHT_AXIS = 2
 WIDTH_AXIS = 3
+# Largest im2col patch buffer ``correlate`` builds at once, unless one
+# image needs more; a batch goes through it in chunks.  A 1 MiB buffer
+# raised a training step's peak RSS by about 1 MB and was no faster.
+IM2COL_BYTES = 1 << 16
 
 
 class Orientation(Enum):
@@ -137,21 +147,45 @@ def correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     (O, C, k, k) kernel: y[n,o,i,j] = sum_{c,p,q} w[o,c,p,q] xp[n,c,i+p,j+q],
     shape (N, O, Hp-k+1, Wp-k+1).
 
-    One BLAS matmul per tap over the flattened padded plane: output (i, j)
-    is flat offset i*Wp+j and tap (p, q) reads p*Wp+q further on, so each
-    tap's operand is a strided view of xp, not a copy.  The k-1 columns
-    between output rows are computed and dropped.
+    Works on the flattened padded plane: output (i, j) is flat offset
+    i*Wp+j and tap (p, q) reads p*Wp+q further on, so each tap's operand
+    is a strided view of xp.  The k-1 columns between output rows are
+    computed and dropped.  The layout follows the channel counts:
+
+    * C < O (im2col): the k*k tap views are copied into one (k*k*C, span)
+      patch matrix per image and contracted with the (O, k*k*C) kernel in
+      one matmul.  The patch buffer is filled one batch chunk at a time and
+      holds at most ``IM2COL_BYTES`` (or one image, if that is larger).
+    * C >= O (kn2row): one matmul per tap, summed into the output, which
+      starts as the first tap's product; for k = 1 that is the whole call.
     """
     n, c, hp, wp = xp.shape
     o, _, k, _ = w.shape
     h, wd = hp - k + 1, wp - k + 1
     span = (h - 1) * wp + wd  # flat offsets from pixel (0, 0) to (h-1, wd-1)
     flat = xp.reshape(n, c, hp * wp)
-    y = np.zeros((n, o, span), dtype=xp.dtype)
-    for p, q in np.ndindex(k, k):
-        s = p * wp + q
-        y += w[:, :, p, q] @ flat[:, :, s : s + span]
-    rows = np.lib.stride_tricks.sliding_window_view(y, wd, axis=2)[:, :, ::wp]
+    taps = list(np.ndindex(k, k))
+    if c < o:
+        wm = w.transpose(0, 2, 3, 1).reshape(o, k * k * c)
+        y = np.empty((n, o, span), dtype=np.result_type(xp, w))
+        chunk = max(1, IM2COL_BYTES // (k * k * c * span * xp.itemsize))
+        cols = np.empty((min(chunk, n), k * k, c, span), dtype=xp.dtype)
+        for b in range(0, n, chunk):
+            m = min(chunk, n - b)
+            for t, (p, q) in enumerate(taps):
+                s = p * wp + q
+                cols[:m, t] = flat[b : b + m, :, s : s + span]
+            np.matmul(wm, cols[:m].reshape(m, k * k * c, span), out=y[b : b + m])
+    else:
+        y = w[:, :, 0, 0] @ flat[:, :, :span]
+        for p, q in taps[1:]:
+            s = p * wp + q
+            y += w[:, :, p, q] @ flat[:, :, s : s + span]
+    # output row i is y[..., i*Wp : i*Wp+wd]; for k = 1 (Wp = wd) that is y
+    # itself and no copy is made
+    rows = np.lib.stride_tricks.as_strided(
+        y, (n, o, h, wd), (*y.strides[:2], wp * y.itemsize, y.itemsize)
+    )
     return np.ascontiguousarray(rows)
 
 
@@ -202,7 +236,7 @@ def read_tensor(path) -> np.ndarray:
     if any(d < 1 for d in dims):
         raise TruncatedFile(f"{path}: empty dimension in header {dims}")
     dtype = CODE_DTYPES[code]
-    count = int(np.prod([int(d) for d in dims], dtype=np.int64))
+    count = math.prod(dims)  # exact: an int64 product of four u32 dims can wrap
     payload = data[header_end:]
     if len(payload) < count * dtype.itemsize:
         raise TruncatedFile(

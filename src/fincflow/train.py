@@ -349,21 +349,25 @@ def checkpoint_load(path) -> FlowModel:
             pos += name_len
             pcode, *dims = struct.unpack_from("<B4x4I", data, pos)
             pos += 21
-            n_elems = int(np.prod(dims))
-            payload = data[pos : pos + n_elems * dtype.itemsize]
-            if len(payload) != n_elems * dtype.itemsize:
-                raise BadFormat(f"{path}: truncated parameter record {name}")
-            pos += len(payload)
             if name not in by_name:
                 raise BadFormat(f"{path}: unknown parameter {name}")
             if name in loaded:
                 raise BadFormat(f"{path}: parameter {name} appears twice")
             loaded.add(name)
             target = by_name[name]
-            if n_elems != target.value.size or pcode != code:
-                raise DimsMismatch(f"{path}: parameter {name} has wrong shape/dtype")
-            arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
-            target.value = np.array(arr, dtype=model.dtype).reshape(target.value.shape)
+            shape = target.value.shape
+            # dims as _param_payload writes them: the shape padded with leading 1s
+            if tuple(dims) != (1,) * (4 - len(shape)) + shape or pcode != code:
+                raise DimsMismatch(
+                    f"{path}: parameter {name} has dims {tuple(dims)} and dtype code "
+                    f"{pcode}, the model needs {shape} and {code}"
+                )
+            payload = data[pos : pos + target.value.size * dtype.itemsize]
+            if len(payload) != target.value.size * dtype.itemsize:
+                raise BadFormat(f"{path}: truncated parameter record {name}")
+            pos += len(payload)
+            arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+            target.value = np.array(arr, dtype=model.dtype)
             target.grad = np.zeros_like(target.value)
     except (struct.error, UnicodeDecodeError) as exc:
         raise BadFormat(f"{path}: truncated or corrupt checkpoint ({exc})") from exc

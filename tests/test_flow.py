@@ -134,14 +134,24 @@ def test_inv1x1_rotation_logdet_zero():
     # inverse equals application of the transpose for orthogonal weight
     xt = np.einsum("co,nchw->nohw", layer.w.value, y)
     assert np.max(np.abs(layer.inverse(y) - xt)) < 1e-12
+    # f64, a general (non-orthogonal) weight: inverse agrees with a solve
+    rng = np.random.default_rng(5)
+    layer = Inv1x1(16, identity_init=True)
+    layer.w.value = np.eye(16) + 0.075 * rng.normal(size=(16, 16))
+    y = rng.normal(size=(3, 16, 4, 5))
+    flat = y.transpose(1, 0, 2, 3).reshape(16, -1)
+    ref = np.linalg.solve(layer.w.value, flat).reshape(16, 3, 4, 5).transpose(1, 0, 2, 3)
+    assert np.max(np.abs(layer.inverse(y) - ref)) < 1e-12
 
 
 def test_inv1x1_qr_round_trip_f32():
     rng = np.random.default_rng(6)
-    layer = Inv1x1(8, rng, np.float32)
-    x = rng.normal(size=(2, 8, 4, 4)).astype(np.float32)
-    y, _, _ = layer.forward(x)
-    assert np.max(np.abs(layer.inverse(y) - x)) < 1e-5
+    # the benchmark's channel counts, 16 and 32, at batch 8
+    for c, n in ((8, 2), (16, 8), (32, 8)):
+        layer = Inv1x1(c, rng, np.float32)
+        x = rng.normal(size=(n, c, 4, 4)).astype(np.float32)
+        y, _, _ = layer.forward(x)
+        assert np.max(np.abs(layer.inverse(y) - x)) < 1e-5
 
 
 def test_inv1x1_singular_raises():

@@ -10,10 +10,13 @@ from fincflow.errors import (
     TruncatedFile,
     UnsupportedDtype,
 )
+import fincflow.tensor
 from fincflow.tensor import (
     Orientation,
     channel_concat,
     channel_split,
+    correlate,
+    correlate_wgrad,
     flip,
     pad_oriented,
     read_tensor,
@@ -126,6 +129,35 @@ def test_channel_concat_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         channel_concat([a, b])
     assert channel_concat([a, a]).shape == (1, 2, 2, 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("c, o", [(3, 8), (5, 5), (8, 3)])
+@pytest.mark.parametrize("chunked", [False, True])
+def test_correlate_matches_per_tap_oracle(monkeypatch, c, o, k, dtype, chunked):
+    n, h, w = 5, 6, 9
+    if chunked:
+        # an im2col chunk of two images: the batch of 5 ends on a partial one
+        span = (h - 1) * (w + k - 1) + w
+        two_images = 2 * k * k * c * span * np.dtype(dtype).itemsize
+        monkeypatch.setattr(fincflow.tensor, "IM2COL_BYTES", two_images)
+    rng = np.random.default_rng(k * 100 + c * 10 + o)
+    xp = rng.normal(size=(n, c, h + k - 1, w + k - 1)).astype(dtype)
+    wt = rng.normal(size=(o, c, k, k)).astype(dtype)
+    gy = rng.normal(size=(n, o, h, w)).astype(dtype)
+    want_y = np.zeros((n, o, h, w))
+    want_g = np.zeros((o, c, k, k))
+    for p, q in np.ndindex(k, k):
+        tap = xp[:, :, p : p + h, q : q + w].astype(np.float64)
+        want_y += np.einsum("oc,nchw->nohw", wt[:, :, p, q].astype(np.float64), tap)
+        want_g[:, :, p, q] = np.einsum("nohw,nchw->oc", gy.astype(np.float64), tap)
+    rel = 1e-12 if dtype == np.float64 else 1e-5
+    y, g = correlate(xp, wt), correlate_wgrad(gy, xp, k)
+    assert y.dtype == dtype and g.dtype == dtype
+    assert y.shape == want_y.shape and g.shape == want_g.shape
+    assert np.max(np.abs(y - want_y)) <= rel * np.max(np.abs(want_y))
+    assert np.max(np.abs(g - want_g)) <= rel * np.max(np.abs(want_g))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

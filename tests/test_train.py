@@ -360,6 +360,23 @@ def test_checkpoint_duplicate_record(tmp_path):
         checkpoint_load(path)
 
 
+def test_checkpoint_record_dims_must_match_parameter(tmp_path):
+    path, data = _saved_checkpoint(tmp_path, "dims.ckpt")
+    pos = 48  # first record
+    while True:
+        (name_len,) = struct.unpack_from("<I", data, pos)
+        at = pos + 4 + name_len + 5  # the record's four u32 dims
+        if data[pos + 4 : pos + 4 + name_len] == b"level0.step0.inv1x1.w":
+            break
+        pos = at + 16 + 4 * math.prod(struct.unpack_from("<4I", data, at))  # f32 payload
+    assert struct.unpack_from("<4I", data, at) == (1, 1, 16, 16)
+    # same element count, other shapes
+    for dims in ((1, 1, 4, 64), (1, 16, 16, 1), (16, 16, 1, 1)):
+        path.write_bytes(data[:at] + struct.pack("<4I", *dims) + data[at + 16 :])
+        with pytest.raises(DimsMismatch, match="inv1x1"):
+            checkpoint_load(path)
+
+
 def test_checkpoint_trailing_bytes(tmp_path):
     path, data = _saved_checkpoint(tmp_path, "tail.ckpt")
     path.write_bytes(data + b"\x00")
