@@ -2,11 +2,11 @@
 """Compare the benchmark of a base revision with the working tree.
 
     python3 scripts/ab_bench.py BASE_REV [--first-seed 71] [--pairs 10]
-        [--workloads train,sample,reconstruct] [--seconds S]
 
 The committed files of BASE_REV are exported (``git archive``) into a
 temporary directory.  For every workload in BENCHMARK.json and every seed,
-the benchmark command runs once on each tree with ``--trace 0``;
+the benchmark command runs once on each tree with ``--trace 0`` for
+BENCHMARK.json's ``run_seconds``;
 the tree that runs first alternates from pair to pair, so both sides see
 the host's slow and fast phases alike.  Each run's metrics are printed as
 it finishes.
@@ -18,14 +18,16 @@ metric's regression bound.  Its verdict is one of:
 
 * ``REGRESSION``: the working tree's median is worse than the base's by
   more than the bound;
-* ``GAIN``: the working tree won at least nine tenths of the pairs and
-  the medians differ by more than the base's interquartile range;
+* ``GAIN``: the working tree won at least nine tenths of the pairs, the
+  medians differ by more than the base's interquartile range and the
+  working tree failed no more operations than the base;
 * ``unresolved``: the base's own spread (IQR over median) exceeds the
   bound and not every working-tree run beats every base run;
 * ``within bound`` otherwise.
 
 Failed operations and failed checks are counted per side.  The exit code
-is 1 if any run failed a check or any verdict is REGRESSION, else 0.
+is 1 if any run failed a check, the working tree failed more operations
+than the base on any workload or any verdict is REGRESSION, else 0.
 BENCHMARK.json and perfbench/ are only read.
 """
 
@@ -36,7 +38,6 @@ import json
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -44,16 +45,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def export_rev(rev: str, dest: Path) -> None:
-    """Write the committed files of ``rev`` into ``dest``."""
-    archive = dest / "tree.tar"
-    subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", "-o", str(archive), rev],
-        check=True,
-    )
-    tree = dest / "tree"
-    with tarfile.open(archive) as tar:
-        tar.extractall(tree, filter="data")
-    archive.unlink()
+    """Write the committed files of ``rev`` into the directory ``dest``."""
+    git = subprocess.Popen(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                           stdout=subprocess.PIPE)
+    tar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=git.stdout)
+    git.stdout.close()
+    if git.wait() or tar.returncode:
+        raise RuntimeError(f"could not export {rev}")
 
 
 def run_once(command, tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -75,8 +73,9 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def verdict(base, change, better: str, bound: float):
-    """(summary fields, verdict) for one metric on one workload."""
+def verdict(base, change, better: str, bound: float, more_failed: bool):
+    """(summary fields, verdict) for one metric on one workload;
+    ``more_failed`` is whether the working tree failed more operations."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
     bq1, bmed, bq3 = quartiles(base)
@@ -85,7 +84,7 @@ def verdict(base, change, better: str, bound: float):
     all_better = all(sign * (c - b) < 0 for c in change for b in base)
     if worse > bound:
         label = "REGRESSION"
-    elif wins >= 0.9 * len(base) and sign * (bmed - cmed) > bq3 - bq1:
+    elif wins >= 0.9 * len(base) and sign * (bmed - cmed) > bq3 - bq1 and not more_failed:
         label = "GAIN"
     elif bmed and (bq3 - bq1) / abs(bmed) > bound and not all_better:
         label = "unresolved"
@@ -99,26 +98,20 @@ def main(argv=None) -> int:
     ap.add_argument("base", help="git revision to compare against, e.g. HEAD~1")
     ap.add_argument("--first-seed", type=int, default=71)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workloads", default=None,
-                    help="comma-separated subset of BENCHMARK.json's workloads")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: BENCHMARK.json run_seconds)")
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in bench["workloads"]]
-    workloads = names if args.workloads is None else args.workloads.split(",")
-    unknown = sorted(set(workloads) - set(names))
-    if unknown or args.pairs < 1:
-        ap.error(f"unknown workloads {unknown}" if unknown else "--pairs must be >= 1")
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
 
     ok = True
     rows = []
     with tempfile.TemporaryDirectory(prefix="ab-bench-") as tmp:
         export_rev(args.base, Path(tmp))
-        trees = {"base": Path(tmp) / "tree", "change": ROOT}
+        trees = {"base": Path(tmp), "change": ROOT}
         for workload in workloads:
             runs = {"base": [], "change": []}
             for i in range(args.pairs):
@@ -134,17 +127,20 @@ def main(argv=None) -> int:
                     print(f"run {workload} seed={seed} {side:6s} {values} "
                           f"failed={res['failed']}/{res['attempted']} correct={res['correct']}",
                           flush=True)
+            failed = {}
             for side, rs in runs.items():
-                failed = sum(r["failed"] for r in rs)
+                failed[side] = sum(r["failed"] for r in rs)
                 attempted = sum(r["attempted"] for r in rs)
                 checks = sum(not r["correct"] for r in rs)
-                rows.append(f"{workload:12s} {side:6s} failed ops {failed}/{attempted}, "
+                rows.append(f"{workload:12s} {side:6s} failed ops {failed[side]}/{attempted}, "
                             f"runs failing a check {checks}/{len(rs)}")
+            more_failed = failed["change"] > failed["base"]
+            ok &= not more_failed
             for m in metrics:
                 base = [r["metrics"][m["name"]]["value"] for r in runs["base"]]
                 change = [r["metrics"][m["name"]]["value"] for r in runs["change"]]
                 (bmed, bq1, bq3, cmed, cq1, cq3, wins, rel), label = verdict(
-                    base, change, m["better"], m["bound"])
+                    base, change, m["better"], m["bound"], more_failed)
                 ok &= label != "REGRESSION"
                 rows.append(
                     f"{workload:12s} {m['name']:12s} base {bmed:.4g} [{bq1:.4g}, {bq3:.4g}]"

@@ -4,7 +4,7 @@ gradient ``correlate_wgrad``) and the ``.ften`` binary tensor format.
 
 ``correlate`` is BLAS matmuls over the flattened padded plane.  It picks
 its layout from the channel counts of each call: im2col (one matmul per
-image over a bounded patch buffer) when it widens the channels, kn2row
+image over a one-image patch buffer) when it widens the channels, kn2row
 (one matmul per kernel tap, no copy) otherwise.
 
 Tensors are plain numpy arrays in C order with dtype float32 or float64.
@@ -34,10 +34,6 @@ CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
 HEIGHT_AXIS = 2
 WIDTH_AXIS = 3
-# Largest im2col patch buffer ``correlate`` builds at once, unless one
-# image needs more; a batch goes through it in chunks.  A 1 MiB buffer
-# raised a training step's peak RSS by about 1 MB and was no faster.
-IM2COL_BYTES = 1 << 16
 
 
 class Orientation(Enum):
@@ -154,8 +150,7 @@ def correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     * C < O (im2col): the k*k tap views are copied into one (k*k*C, span)
       patch matrix per image and contracted with the (O, k*k*C) kernel in
-      one matmul.  The patch buffer is filled one batch chunk at a time and
-      holds at most ``IM2COL_BYTES`` (or one image, if that is larger).
+      one matmul.  One image's buffer is reused across the batch.
     * C >= O (kn2row): one matmul per tap, summed into the output, which
       starts as the first tap's product; for k = 1 that is the whole call.
     """
@@ -168,14 +163,14 @@ def correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     if c < o:
         wm = w.transpose(0, 2, 3, 1).reshape(o, k * k * c)
         y = np.empty((n, o, span), dtype=np.result_type(xp, w))
-        chunk = max(1, IM2COL_BYTES // (k * k * c * span * xp.itemsize))
-        cols = np.empty((min(chunk, n), k * k, c, span), dtype=xp.dtype)
-        for b in range(0, n, chunk):
-            m = min(chunk, n - b)
+        cols = np.empty((k * k, c, span), dtype=xp.dtype)
+        for b in range(n):
             for t, (p, q) in enumerate(taps):
                 s = p * wp + q
-                cols[:m, t] = flat[b : b + m, :, s : s + span]
-            np.matmul(wm, cols[:m].reshape(m, k * k * c, span), out=y[b : b + m])
+                cols[t] = flat[b, :, s : s + span]
+            # a batch-of-one product: the plain 2-D call read 1.8 MB more
+            # peak RSS on the benchmark's sample workload
+            np.matmul(wm, cols.reshape(1, k * k * c, span), out=y[b : b + 1])
     else:
         y = w[:, :, 0, 0] @ flat[:, :, :span]
         for p, q in taps[1:]:
