@@ -6,7 +6,6 @@ from .invconv import (
     FincFlowUnit,
     InvertStats,
     MaskedKernel,
-    PaddedConvBlock,
     apply_anchor_mask,
     pcb_forward,
     pcb_invert_reference,
@@ -24,7 +23,6 @@ __all__ = [
     "FincFlowUnit",
     "InvertStats",
     "MaskedKernel",
-    "PaddedConvBlock",
     "apply_anchor_mask",
     "pcb_forward",
     "pcb_invert_reference",

@@ -22,7 +22,6 @@ from .invconv import (
     DENSE_CAP,
     InvertStats,
     MaskedKernel,
-    PaddedConvBlock,
     apply_anchor_mask,
     build_conv_matrix,
     canonical_permutation,
@@ -126,7 +125,7 @@ def bench_pcb(
 ) -> BenchReport:
     """Time one inversion strategy on an untrained random block."""
     rng = np.random.default_rng(seed)
-    pcb = PaddedConvBlock(random_masked_kernel(c, k, Orientation.TL, rng, dtype))
+    pcb = random_masked_kernel(c, k, Orientation.TL, rng, dtype)
     y = rng.normal(size=(batch, c, n, n)).astype(dtype)
     report = BenchReport(n, c, k, batch, workers, strategy)
     if strategy == "reference":
@@ -265,12 +264,12 @@ def run_checks(
     and gradient checks at a configurable size."""
     results: list[CheckResult] = []
     rng = np.random.default_rng(seed)
-    pcb = PaddedConvBlock(random_masked_kernel(channels, k, Orientation.TL, rng))
+    pcb = random_masked_kernel(channels, k, Orientation.TL, rng)
     if inject_fault == "anchor":
-        w = pcb.kernel.weights.copy()
-        ah, aw = pcb.kernel.anchor
+        w = pcb.weights.copy()
+        ah, aw = pcb.anchor
         w[0, 0, ah, aw] = 1.1
-        pcb = PaddedConvBlock(MaskedKernel(w, Orientation.TL))
+        pcb = MaskedKernel(w, Orientation.TL)
 
     # round trip, f64 and f32
     x64 = rng.normal(size=(2, channels, size, size))
@@ -278,7 +277,7 @@ def run_checks(
         np.max(np.abs(pcb_invert_wavefront(pcb_forward(x64, pcb), pcb, workers) - x64))
     )
     results.append(CheckResult("round trip f64", err64, 1e-9, err64 <= 1e-9))
-    pcb32 = PaddedConvBlock(MaskedKernel(pcb.kernel.weights.astype(np.float32), Orientation.TL))
+    pcb32 = MaskedKernel(pcb.weights.astype(np.float32), Orientation.TL)
     x32 = x64.astype(np.float32)
     err32 = float(
         np.max(np.abs(pcb_invert_wavefront(pcb_forward(x32, pcb32), pcb32, workers) - x32))
@@ -287,9 +286,9 @@ def run_checks(
 
     # triple oracle (dense capped)
     y = rng.normal(size=(1, channels, size, size))
+    wf = pcb_invert_wavefront(y, pcb, workers)
+    ref = pcb_invert_reference(y, pcb)
     if size * size * channels <= DENSE_CAP:
-        wf = pcb_invert_wavefront(y, pcb, workers)
-        ref = pcb_invert_reference(y, pcb)
         dns = dense_invert(y, pcb)
         err = float(
             max(
@@ -300,8 +299,6 @@ def run_checks(
         )
         results.append(CheckResult("triple oracle agreement", err, 1e-9, err <= 1e-9))
     else:
-        wf = pcb_invert_wavefront(y, pcb, workers)
-        ref = pcb_invert_reference(y, pcb)
         err = float(np.max(np.abs(wf - ref)))
         results.append(
             CheckResult(

@@ -138,7 +138,10 @@ def _coerce(action: argparse.Action, raw: str):
         raise BadFormat(f"boolean key {action.dest} has non-boolean value {raw!r}")
     if action.choices is not None and raw not in action.choices:
         raise BadFormat(f"key {action.dest} must be one of {sorted(action.choices)}")
-    return (action.type or str)(raw)
+    try:
+        return (action.type or str)(raw)
+    except ValueError:
+        raise BadFormat(f"key {action.dest} has unparsable value {raw!r}") from None
 
 
 def apply_config_file(args: argparse.Namespace, subparser, argv) -> argparse.Namespace:
@@ -159,6 +162,14 @@ def apply_config_file(args: argparse.Namespace, subparser, argv) -> argparse.Nam
 # commands
 
 
+def _require_positive(args, *names):
+    """Reject a size flag below 1 before any work is done."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise BadFormat(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
 def _load_dataset(args):
     if args.data == "synthetic":
         return synthetic_blobs(args.count, args.channels, args.size, args.seed)
@@ -166,15 +177,6 @@ def _load_dataset(args):
 
 
 def cmd_train(args) -> int:
-    ds = _load_dataset(args)
-    c, h, w = ds.dims
-    cfg = ModelConfig(
-        c, h, w, args.levels, args.steps, args.kernel_size, args.hidden, args.dtype
-    )
-    cfg.validate()  # reject bad L for the image size before any training
-    model = FlowModel(cfg, np.random.default_rng(args.seed))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tcfg = TrainConfig(
         lr=args.lr,
         decay=args.decay,
@@ -184,6 +186,15 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         seed=args.seed,
     )
+    ds = _load_dataset(args)
+    c, h, w = ds.dims
+    cfg = ModelConfig(
+        c, h, w, args.levels, args.steps, args.kernel_size, args.hidden, args.dtype
+    )
+    cfg.validate()  # reject bad L for the image size before any training
+    model = FlowModel(cfg, np.random.default_rng(args.seed))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "metrics.csv", "w") as fh:
         history = train(model, ds, tcfg, metrics_out=fh)
     checkpoint_save(model, out / "model.ckpt")
@@ -203,6 +214,7 @@ def _requantize(x: np.ndarray) -> np.ndarray:
 def cmd_sample(args) -> int:
     if args.temperature < 0:
         raise BadFormat(f"temperature must be >= 0, got {args.temperature}")
+    _require_positive(args, "count")
     model = checkpoint_load(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     x = model.sample(args.count, args.temperature, rng, workers=args.workers)
@@ -263,6 +275,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _require_positive(args, "size", "channels", "kernel_size")
     results = bench_mod.run_checks(
         size=args.size,
         channels=args.channels,
@@ -297,6 +310,7 @@ def _parse_sizes(raw: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
+    _require_positive(args, "batch", "channels", "kernel_size")
     sizes = _parse_sizes(args.sizes)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     reports = []

@@ -31,10 +31,9 @@ from .errors import (
 from .invconv import (
     FincFlowUnit,
     MaskedKernel,
-    PaddedConvBlock,
     UNIT_ORIENTATIONS,
-    random_masked_kernel,
-    identity_kernel,
+    identity_unit,
+    random_unit,
     unit_backward,
     unit_forward,
     unit_invert,
@@ -376,29 +375,26 @@ class Split:
 
 
 class UnitLayer:
-    """Four masked padded-convolution blocks on channel quarters."""
+    """Four masked kernels on channel quarters, learnable as Params."""
 
     def __init__(self, c, k, rng=None, dtype=np.float64, identity_init=False):
         self.c = c
         self.k = k
         if identity_init or rng is None:
-            kernels = [identity_kernel(c // 4, k, o, dtype) for o in UNIT_ORIENTATIONS]
+            unit = identity_unit(c, k, dtype)
         else:
-            kernels = [
-                random_masked_kernel(c // 4, k, o, rng, dtype) for o in UNIT_ORIENTATIONS
-            ]
-        self.kernels = [Param(kern.weights) for kern in kernels]
+            unit = random_unit(c, k, rng, dtype)
+        self.kernels = [Param(kern.weights) for kern in unit.blocks]
 
     def named_params(self, prefix):
         for i, p in enumerate(self.kernels):
             yield f"{prefix}.k{i}", p
 
     def unit(self) -> FincFlowUnit:
+        """Built per call, not cached: Adam, the anchor mask and
+        checkpoint_load reassign ``Param.value``."""
         return FincFlowUnit(
-            [
-                PaddedConvBlock(MaskedKernel(p.value, o))
-                for p, o in zip(self.kernels, UNIT_ORIENTATIONS)
-            ]
+            [MaskedKernel(p.value, o) for p, o in zip(self.kernels, UNIT_ORIENTATIONS)]
         )
 
     def forward(self, x):

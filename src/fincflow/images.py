@@ -28,7 +28,9 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def read_image(path) -> np.ndarray:
-    """Read a P5/P6 file into a (C, H, W) uint8 array (C = 1 or 3)."""
+    """Read a P5/P6 file into a (C, H, W) uint8 array (C = 1 or 3).
+
+    Samples are rescaled from 0..maxval to 0..255."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -55,6 +57,10 @@ def read_image(path) -> np.ndarray:
     if len(payload) != count:
         raise BadFormat(f"{path}: expected {count} pixel bytes, found {len(payload)}")
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    if arr.max() > maxval:
+        raise BadFormat(f"{path}: sample value {arr.max()} above maxval {maxval}")
+    if maxval != 255:  # rescale to 0..255, rounding half up
+        arr = ((arr.astype(np.uint16) * 255 + maxval // 2) // maxval).astype(np.uint8)
     return np.ascontiguousarray(arr.transpose(2, 0, 1))
 
 

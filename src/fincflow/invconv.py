@@ -1,18 +1,22 @@
 """Masked invertible convolution blocks.
 
-A block convolves a corner-padded input with a k x k kernel whose anchor
-tap (the one multiplying each pixel itself) is frozen to the channel
-identity.  Vectorized in raster order the operation is a unit-diagonal
-triangular matrix, so it is exactly invertible with log-det zero.  Three
-inverse paths are provided:
+The one block type is ``MaskedKernel``: k x k weights plus the padding
+orientation they are applied under.  A block convolves the input, padded
+by k-1 at the orientation's corner, with a kernel whose anchor tap (the
+one multiplying each pixel itself) is frozen to the channel identity.
+Vectorized in raster order the operation is a unit-diagonal triangular
+matrix, so it is exactly invertible with log-det zero.  A
+``FincFlowUnit`` is four blocks, one per channel quarter, each padded at
+a different corner.  Three inverse paths are provided:
 
 * ``dense_invert``       -- triangular solve of the explicit matrix (oracle)
 * ``pcb_invert_reference`` -- sequential raster back-substitution (oracle)
-* ``pcb_invert_wavefront`` -- anti-diagonal sweep; all elements of a
-  diagonal are solved together by one batched gather and one matrix
-  contraction, and each diagonal reads the ones before it: H+W-1
-  sequential phases total.  The ``workers`` argument is accepted for API
-  and CLI stability; results are identical for any value.
+* ``pcb_invert_wavefront`` / ``unit_invert`` -- anti-diagonal sweep; all
+  elements of a diagonal are solved together by one batched gather and
+  one matrix contraction, and each diagonal reads the ones before it:
+  H+W-1 sequential phases total, shared by every block of a unit.  The
+  ``workers`` argument is accepted for API and CLI stability; results
+  are identical for any value.
 """
 
 from __future__ import annotations
@@ -53,16 +57,10 @@ def anchor_position(orientation: Orientation, k: int) -> tuple[int, int]:
     return (k - 1 if orientation.pads_top else 0, k - 1 if orientation.pads_left else 0)
 
 
-def _tap_offsets(orientation: Orientation, k: int) -> tuple[int, int]:
-    """(dv, dh) such that tap (p, q) reads input pixel (i+p+dv, j+q+dh)."""
-    dv = -(k - 1) if orientation.pads_top else 0
-    dh = -(k - 1) if orientation.pads_left else 0
-    return dv, dh
-
-
 @dataclass
 class MaskedKernel:
-    """Convolution weights (C_out, C_in, k, k) with a frozen anchor tap.
+    """One block: weights (C_out, C_in, k, k) applied under the padding of
+    ``orientation``, with a frozen anchor tap.
 
     The anchor constraint (identity block at ``anchor_position``) is
     established by ``apply_anchor_mask`` / the factory functions and
@@ -94,25 +92,14 @@ class MaskedKernel:
 
 
 @dataclass
-class PaddedConvBlock:
-    """A masked kernel paired with its padding orientation."""
-
-    kernel: MaskedKernel
-
-    @property
-    def orientation(self) -> Orientation:
-        return self.kernel.orientation
-
-
-@dataclass
 class FincFlowUnit:
-    """Four padded convolution blocks acting on channel quarters.
+    """Four masked kernels acting on channel quarters.
 
     Quarter i is processed by blocks[i]; orientations are fixed to
     (TL, TR, BR, BL) and every block shares the same kernel size.
     """
 
-    blocks: list[PaddedConvBlock]
+    blocks: list[MaskedKernel]
 
     def __post_init__(self):
         if len(self.blocks) != 4:
@@ -122,19 +109,19 @@ class FincFlowUnit:
                 raise ShapeMismatch(
                     f"unit block orientation {blk.orientation} != {want}"
                 )
-        ks = {blk.kernel.k for blk in self.blocks}
-        cs = {blk.kernel.channels for blk in self.blocks}
+        ks = {blk.k for blk in self.blocks}
+        cs = {blk.channels for blk in self.blocks}
         if len(ks) != 1 or len(cs) != 1:
             raise ShapeMismatch("unit blocks must share k and channel count")
 
     @property
     def k(self) -> int:
-        return self.blocks[0].kernel.k
+        return self.blocks[0].k
 
     @property
     def channels(self) -> int:
         """Channel count of the full unit input (4x the per-block count)."""
-        return 4 * self.blocks[0].kernel.channels
+        return 4 * self.blocks[0].channels
 
 
 @dataclass
@@ -189,19 +176,14 @@ def random_masked_kernel(
 def identity_unit(c: int, k: int, dtype=np.float64) -> FincFlowUnit:
     if c % 4 != 0:
         raise IndivisibleChannels(f"unit needs C divisible by 4, got {c}")
-    return FincFlowUnit(
-        [PaddedConvBlock(identity_kernel(c // 4, k, o, dtype)) for o in UNIT_ORIENTATIONS]
-    )
+    return FincFlowUnit([identity_kernel(c // 4, k, o, dtype) for o in UNIT_ORIENTATIONS])
 
 
 def random_unit(c: int, k: int, rng: np.random.Generator, dtype=np.float64) -> FincFlowUnit:
     if c % 4 != 0:
         raise IndivisibleChannels(f"unit needs C divisible by 4, got {c}")
     return FincFlowUnit(
-        [
-            PaddedConvBlock(random_masked_kernel(c // 4, k, o, rng, dtype))
-            for o in UNIT_ORIENTATIONS
-        ]
+        [random_masked_kernel(c // 4, k, o, rng, dtype) for o in UNIT_ORIENTATIONS]
     )
 
 
@@ -221,7 +203,7 @@ def _flip_kernel_to_tl(kern: MaskedKernel) -> np.ndarray:
 # forward
 
 
-def pcb_forward(x: np.ndarray, pcb: PaddedConvBlock) -> np.ndarray:
+def pcb_forward(x: np.ndarray, kern: MaskedKernel) -> np.ndarray:
     """Cross-correlate the oriented zero-padding of x with the kernel.
 
     Non-TL orientations are computed by flipping to TL form and back, so
@@ -230,16 +212,15 @@ def pcb_forward(x: np.ndarray, pcb: PaddedConvBlock) -> np.ndarray:
     log-det contribution is exactly 0.
     """
     x = require_nchw(x)
-    kern = pcb.kernel
     if x.shape[1] != kern.channels:
         raise ShapeMismatch(f"input has C={x.shape[1]}, kernel expects {kern.channels}")
-    fl = pcb.orientation.flip_axes
+    fl = kern.orientation.flip_axes
     kw = _flip_kernel_to_tl(kern).astype(x.dtype, copy=False)
     return flip(correlate(pad_oriented(flip(x, fl), Orientation.TL, kern.k), kw), fl)
 
 
 def pcb_backward(
-    grad_y: np.ndarray, x: np.ndarray, pcb: PaddedConvBlock
+    grad_y: np.ndarray, x: np.ndarray, kern: MaskedKernel
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of a scalar through pcb_forward: (grad_x, grad_weights).
 
@@ -250,11 +231,9 @@ def pcb_backward(
     """
     grad_y = require_nchw(grad_y)
     x = require_nchw(x)
-    kern = pcb.kernel
     adj_w = np.ascontiguousarray(kern.weights.swapaxes(0, 1)[:, :, ::-1, ::-1])
-    adj = PaddedConvBlock(MaskedKernel(adj_w, _OPPOSITE[pcb.orientation]))
-    grad_x = pcb_forward(grad_y, adj)
-    xp = pad_oriented(x, pcb.orientation, kern.k)
+    grad_x = pcb_forward(grad_y, MaskedKernel(adj_w, _OPPOSITE[kern.orientation]))
+    xp = pad_oriented(x, kern.orientation, kern.k)
     grad_w = correlate_wgrad(grad_y, xp, kern.k).astype(kern.weights.dtype, copy=False)
     return grad_x, grad_w
 
@@ -298,30 +277,29 @@ def unvectorize_hwc(v: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
     return np.ascontiguousarray(v.reshape(-1, h, w, c).transpose(0, 3, 1, 2))
 
 
-def build_conv_matrix(pcb: PaddedConvBlock, h: int, w: int) -> np.ndarray:
+def build_conv_matrix(kern: MaskedKernel, h: int, w: int) -> np.ndarray:
     """Dense (HWC x HWC) matrix M with vec_hwc(y) = M @ vec_hwc(x).
 
     Row/column index of (pixel i,j, channel c) is (i*W + j)*C + c.  Each
     row has at most k*k*C nonzeros.  Float64 regardless of model dtype;
     this is an oracle, not a fast path.
     """
-    kern = pcb.kernel
     c, k = kern.channels, kern.k
     side = h * w * c
     if side > DENSE_CAP:
         raise TooLargeForDense(f"H*W*C = {side} exceeds dense cap {DENSE_CAP}")
-    dv, dh = _tap_offsets(pcb.orientation, k)
+    ah, aw = kern.anchor  # tap (p, q) reads input pixel (i+p-ah, j+q-aw)
     kw = kern.weights.astype(np.float64)
     m = np.zeros((side, side))
     for i in range(h):
         for j in range(w):
             row0 = (i * w + j) * c
             for p in range(k):
-                ii = i + p + dv
+                ii = i + p - ah
                 if not 0 <= ii < h:
                     continue
                 for q in range(k):
-                    jj = j + q + dh
+                    jj = j + q - aw
                     if not 0 <= jj < w:
                         continue
                     col0 = (ii * w + jj) * c
@@ -342,14 +320,14 @@ def canonical_permutation(orientation: Orientation, h: int, w: int, c: int) -> n
     return (pix[:, :, None] + np.arange(c)).reshape(-1)
 
 
-def dense_invert(y: np.ndarray, pcb: PaddedConvBlock) -> np.ndarray:
+def dense_invert(y: np.ndarray, kern: MaskedKernel) -> np.ndarray:
     """Invert through an explicit triangular solve of the dense matrix."""
     y = require_nchw(y)
     n, c, h, w = y.shape
-    if c != pcb.kernel.channels:
-        raise ShapeMismatch(f"input has C={c}, kernel expects {pcb.kernel.channels}")
-    m = build_conv_matrix(pcb, h, w)
-    perm = canonical_permutation(pcb.orientation, h, w, c)
+    if c != kern.channels:
+        raise ShapeMismatch(f"input has C={c}, kernel expects {kern.channels}")
+    m = build_conv_matrix(kern, h, w)
+    perm = canonical_permutation(kern.orientation, h, w, c)
     mc = m[np.ix_(perm, perm)]
     side = h * w * c
     out = np.empty((n, side))
@@ -370,7 +348,7 @@ def dense_invert(y: np.ndarray, pcb: PaddedConvBlock) -> np.ndarray:
 # sequential reference inversion
 
 
-def pcb_invert_reference(y: np.ndarray, pcb: PaddedConvBlock) -> np.ndarray:
+def pcb_invert_reference(y: np.ndarray, kern: MaskedKernel) -> np.ndarray:
     """Single-threaded back-substitution in the orientation's raster order.
 
     Channels are resolved together per pixel; with the identity anchor
@@ -378,18 +356,16 @@ def pcb_invert_reference(y: np.ndarray, pcb: PaddedConvBlock) -> np.ndarray:
     channel-inner ordering.
     """
     y = require_nchw(y)
-    kern = pcb.kernel
     if y.shape[1] != kern.channels:
         raise ShapeMismatch(f"input has C={y.shape[1]}, kernel expects {kern.channels}")
     n, c, h, w = y.shape
     k = kern.k
-    dv, dh = _tap_offsets(pcb.orientation, k)
-    anchor = kern.anchor
+    ah, aw = kern.anchor  # tap (p, q) reads input pixel (i+p-ah, j+q-aw)
     kw = kern.weights.astype(y.dtype, copy=False)
-    taps = [(p, q) for p in range(k) for q in range(k) if (p, q) != anchor]
-    i_order = range(h) if pcb.orientation.pads_top else range(h - 1, -1, -1)
+    taps = [(p, q) for p in range(k) for q in range(k) if (p, q) != (ah, aw)]
+    i_order = range(h) if kern.orientation.pads_top else range(h - 1, -1, -1)
     j_order = (
-        list(range(w)) if pcb.orientation.pads_left else list(range(w - 1, -1, -1))
+        list(range(w)) if kern.orientation.pads_left else list(range(w - 1, -1, -1))
     )
     x = np.empty_like(y)
     for s in range(n):
@@ -397,8 +373,8 @@ def pcb_invert_reference(y: np.ndarray, pcb: PaddedConvBlock) -> np.ndarray:
             for j in j_order:
                 acc = np.zeros(c, dtype=y.dtype)
                 for p, q in taps:
-                    ii = i + p + dv
-                    jj = j + q + dh
+                    ii = i + p - ah
+                    jj = j + q - aw
                     if 0 <= ii < h and 0 <= jj < w:
                         acc += kw[:, :, p, q] @ x[s, :, ii, jj]
                 x[s, :, i, j] = y[s, :, i, j] - acc
@@ -482,30 +458,41 @@ def _wavefront_invert_tl(
     return np.ascontiguousarray(xp[:, k - 1 :, k - 1 :].transpose(0, 4, 3, 1, 2))
 
 
+def _wavefront_invert(
+    ys: list[np.ndarray],
+    kernels: list[MaskedKernel],
+    workers: int,
+    stats: InvertStats | None,
+) -> list[np.ndarray]:
+    """Invert ys[i] under kernels[i], all in one TL sweep.
+
+    Each (input, kernel) pair is flipped to TL form, the pairs are
+    stacked as the groups of ``_wavefront_invert_tl`` so they share every
+    phase, and the solutions are flipped back.  ``workers`` must be >= 1;
+    it is kept for API stability and the result is identical for any
+    value.
+    """
+    if workers < 1:
+        raise ShapeMismatch(f"workers must be >= 1, got {workers}")
+    solved = _wavefront_invert_tl(
+        np.stack([flip(y, kern.orientation.flip_axes) for y, kern in zip(ys, kernels)]),
+        np.stack([_flip_kernel_to_tl(kern) for kern in kernels]),
+        stats,
+    )
+    return [flip(x, kern.orientation.flip_axes) for x, kern in zip(solved, kernels)]
+
+
 def pcb_invert_wavefront(
     y: np.ndarray,
-    pcb: PaddedConvBlock,
+    kern: MaskedKernel,
     workers: int = 1,
     stats: InvertStats | None = None,
 ) -> np.ndarray:
-    """Invert pcb_forward via the anti-diagonal sweep of H+W-1 phases.
-
-    Non-TL orientations are flipped to TL form, solved, and flipped back.
-    ``workers`` must be >= 1; it is kept for API stability and the result
-    is identical for any value.
-    """
+    """Invert pcb_forward via the anti-diagonal sweep of H+W-1 phases."""
     y = require_nchw(y)
-    if y.shape[1] != pcb.kernel.channels:
-        raise ShapeMismatch(
-            f"input has C={y.shape[1]}, kernel expects {pcb.kernel.channels}"
-        )
-    if workers < 1:
-        raise ShapeMismatch(f"workers must be >= 1, got {workers}")
-    fl = pcb.orientation.flip_axes
-    y_tl = flip(y, fl)
-    k_tl = _flip_kernel_to_tl(pcb.kernel)
-    x_tl = _wavefront_invert_tl(y_tl[np.newaxis], k_tl[np.newaxis], stats)[0]
-    return flip(x_tl, fl)
+    if y.shape[1] != kern.channels:
+        raise ShapeMismatch(f"input has C={y.shape[1]}, kernel expects {kern.channels}")
+    return _wavefront_invert([y], [kern], workers, stats)[0]
 
 
 def unit_invert(
@@ -514,29 +501,9 @@ def unit_invert(
     workers: int = 1,
     stats: InvertStats | None = None,
 ) -> np.ndarray:
-    """Invert a whole unit in one batched TL sweep.
-
-    The four quarters (and kernels) are flipped to TL form and stacked
-    along a group axis, so all four blocks share every phase; the phase
-    count stays H+W-1 for the whole unit.  ``workers`` is validated as in
-    ``pcb_invert_wavefront`` and does not change the result.
-    """
+    """Invert a whole unit: its four blocks share every phase, so the
+    phase count stays H+W-1 for the whole unit."""
     y = require_nchw(y)
     if y.shape[1] != unit.channels:
         raise IndivisibleChannels(f"unit expects C={unit.channels}, got {y.shape[1]}")
-    if workers < 1:
-        raise ShapeMismatch(f"workers must be >= 1, got {workers}")
-    quarters = channel_split(y, 4)
-    ys = []
-    ks = []
-    for q, blk in zip(quarters, unit.blocks):
-        ys.append(flip(q, blk.orientation.flip_axes))
-        ks.append(_flip_kernel_to_tl(blk.kernel))
-    stacked = np.stack(ys)
-    kstack = np.stack(ks)
-    solved = _wavefront_invert_tl(stacked, kstack, stats)
-    outs = [
-        flip(solved[i], blk.orientation.flip_axes)
-        for i, blk in enumerate(unit.blocks)
-    ]
-    return channel_concat(outs)
+    return channel_concat(_wavefront_invert(channel_split(y, 4), unit.blocks, workers, stats))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadFormat, BadMagic, DimsMismatch, NonFiniteLoss
+from .errors import BadFormat, BadMagic, DimsMismatch, NonFiniteLoss, ShapeMismatch
 from .flow import FlowModel, ModelConfig
 from .images import read_image
 from .invconv import MaskedKernel, apply_anchor_mask, mask_anchor_gradient
@@ -35,6 +35,10 @@ class TrainConfig:
             raise BadFormat(f"lr must be > 0, got {self.lr}")
         if not 0 < self.decay <= 1:
             raise BadFormat(f"decay must be in (0, 1], got {self.decay}")
+        if self.batch_size < 1 or self.epochs < 1:
+            raise BadFormat(
+                f"batch size and epochs must be >= 1, got {self.batch_size} and {self.epochs}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +164,11 @@ def dataset_load(path) -> Dataset:
 def synthetic_blobs(count=512, channels=4, size=8, seed=0) -> Dataset:
     """Mixture of smoothed Gaussian blobs; the canonical desk-scale
     training fixture (no external downloads)."""
+    if count < 1 or channels < 1 or size < 2:
+        raise ShapeMismatch(
+            f"synthetic data needs count, channels >= 1 and size >= 2, "
+            f"got {count}, {channels}, {size}"
+        )
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     images = np.zeros((count, channels, size, size))

@@ -12,7 +12,6 @@ from fincflow.bench import BenchReport, bench_pcb, measure_scaling
 from fincflow.flow import FlowModel, ModelConfig, Squeeze
 from fincflow.invconv import (
     InvertStats,
-    PaddedConvBlock,
     anchor_position,
     build_conv_matrix,
     canonical_permutation,
@@ -50,9 +49,7 @@ def test_exact_inverse_round_trip():
                     )
                     orientation = ORIENTATION_CYCLE[seed % 4]
                     for dtype in (np.float32, np.float64):
-                        pcb = PaddedConvBlock(
-                            random_masked_kernel(c, k, orientation, rng, dtype)
-                        )
+                        pcb = random_masked_kernel(c, k, orientation, rng, dtype)
                         x = rng.normal(size=(1, c, n, n)).astype(dtype)
                         back = pcb_invert_wavefront(pcb_forward(x, pcb), pcb, workers=1)
                         err = float(np.max(np.abs(back - x)))
@@ -81,7 +78,7 @@ def test_triple_oracle_agreement():
         assert n * n * c <= 4096
         rng = np.random.default_rng(idx)
         orientation = ORIENTATION_CYCLE[idx % 4]
-        pcb = PaddedConvBlock(random_masked_kernel(c, k, orientation, rng))
+        pcb = random_masked_kernel(c, k, orientation, rng)
         y = rng.normal(size=(1, c, n, n))
         wf = pcb_invert_wavefront(y, pcb, workers=2)
         ref = pcb_invert_reference(y, pcb)
@@ -105,7 +102,7 @@ def test_structural_claims():
     rng = np.random.default_rng(7)
     for orientation in Orientation:
         c, h, w, k = 3, 6, 5, 3
-        pcb = PaddedConvBlock(random_masked_kernel(c, k, orientation, rng))
+        pcb = random_masked_kernel(c, k, orientation, rng)
         m = build_conv_matrix(pcb, h, w)
         perm = canonical_permutation(orientation, h, w, c)
         mc = m[np.ix_(perm, perm)]
@@ -120,7 +117,7 @@ def test_structural_claims():
     assert np.array_equal(Squeeze.inverse(Squeeze.forward(x)), x)  # volume-exact
 
     for h, w, c, k in [(8, 8, 2, 3), (16, 16, 4, 2), (32, 32, 2, 5), (12, 20, 1, 3)]:
-        pcb = PaddedConvBlock(random_masked_kernel(c, k, Orientation.TL, rng))
+        pcb = random_masked_kernel(c, k, Orientation.TL, rng)
         y = rng.normal(size=(1, c, h, w))
         st = InvertStats()
         pcb_invert_wavefront(y, pcb, workers=2, stats=st)
@@ -134,9 +131,7 @@ def test_worker_count_determinism():
     rng = np.random.default_rng(11)
     for dtype in (np.float32, np.float64):
         for n, c, k, batch in [(16, 4, 3, 2), (32, 2, 5, 1), (8, 8, 2, 64)]:
-            pcb = PaddedConvBlock(
-                random_masked_kernel(c, k, Orientation.TL, rng, dtype)
-            )
+            pcb = random_masked_kernel(c, k, Orientation.TL, rng, dtype)
             y = rng.normal(size=(batch, c, n, n)).astype(dtype)
             base = pcb_invert_wavefront(y, pcb, workers=1)
             for workers in (2, 4, 8):

@@ -14,6 +14,7 @@ from fincflow.bench import (
 )
 from fincflow.cli import main, parse_config_file
 from fincflow.errors import BadFormat
+from fincflow.flow import FlowModel, ModelConfig
 from fincflow.images import read_image
 from fincflow.tensor import read_tensor
 
@@ -96,6 +97,8 @@ def test_cli_check_exit_codes():
     assert main(["check", "--size", "8", "--channels", "4", "--workers", "2"]) == 0
     assert main(["check", "--size", "8", "--inject", "anchor"]) == 1
     assert main(["check", "--size", "8", "--kernel-size", "0"]) == 1
+    assert main(["check", "--size", "-2"]) == 1
+    assert main(["check", "--size", "8", "--kernel-size", "-1"]) == 1
 
 
 def test_cli_train_sample_reconstruct_round_trip(tmp_path, capsys):
@@ -176,11 +179,27 @@ def test_cli_sample_temperature_zero_identical(tmp_path):
 
 
 def test_cli_train_rejects_bad_levels(tmp_path, capsys):
-    for bad in (["--levels", "4"], ["--kernel-size", "0"], ["--hidden", "0"]):
+    for bad in (["--levels", "4"], ["--kernel-size", "0"], ["--hidden", "0"],
+                ["--batch-size", "0"], ["--batch-size", "-3"], ["--count", "0"],
+                ["--channels", "0"], ["--size", "0"], ["--size", "1"]):
         rc = main(["train", "--size", "8", *bad, "--out", str(tmp_path / "x"), "--epochs", "1"])
         assert rc == 1, bad
         assert "error:" in capsys.readouterr().err, bad
         assert not (tmp_path / "x" / "model.ckpt").exists()
+    assert main(["train", "--size", "8", "--out", str(tmp_path / "x"), "--epochs", "0"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "model.ckpt").exists()
+
+
+def test_cli_sample_rejects_bad_count(tmp_path, capsys):
+    from fincflow.train import checkpoint_save
+
+    ckpt = tmp_path / "m.ckpt"
+    checkpoint_save(FlowModel(ModelConfig(4, 8, 8, levels=1, steps=1, hidden=8)), ckpt)
+    for count in ("0", "-1"):
+        assert main(["sample", str(ckpt), "--count", count, "--out", str(tmp_path / "s")]) == 1
+        assert "error: --count" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_cli_train_deterministic_rerun(tmp_path):
@@ -270,6 +289,8 @@ def test_cli_bench_rejects_bad_sizes(capsys):
     capsys.readouterr()
     assert main(["bench", "--sizes", "abc"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert main(["bench", "--sizes", "8", "--batch", "-1"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_config_file_parse_and_override(tmp_path):
@@ -299,6 +320,16 @@ def test_config_file_bad_line(tmp_path):
     cfg.write_text("just a line without equals\n")
     with pytest.raises(BadFormat):
         parse_config_file(cfg)
+
+
+def test_config_file_unparsable_value(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("epochs = abc\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 1
+    assert "error: key epochs" in capsys.readouterr().err
+    cfg.write_text("temperature = hot\n")
+    assert main(["sample", str(tmp_path / "none.ckpt"), "--config", str(cfg)]) == 1
+    assert "error: key temperature" in capsys.readouterr().err
 
 
 def test_workers_env_default(monkeypatch, tmp_path):

@@ -331,6 +331,16 @@ def test_model_sample_seeded_and_temperature_zero():
     assert np.array_equal(t0a, t0b)
 
 
+def test_model_inverse_and_sample_reject_workers_below_one():
+    cfg = ModelConfig(4, 8, 8, levels=2, steps=1, hidden=8, dtype="f64")
+    model = FlowModel(cfg, np.random.default_rng(20), data_init=False)
+    latents, _, _ = model.forward(np.zeros((1, 4, 8, 8)))
+    with pytest.raises(ShapeMismatch, match="workers"):
+        model.inverse(latents, workers=0)
+    with pytest.raises(ShapeMismatch, match="workers"):
+        model.sample(1, rng=np.random.default_rng(0), workers=0)
+
+
 def test_model_logdet_matches_numeric_jacobian():
     model = toy_model(seed=21)
     rng = np.random.default_rng(22)

@@ -9,7 +9,6 @@ from fincflow.invconv import (
     FincFlowUnit,
     InvertStats,
     MaskedKernel,
-    PaddedConvBlock,
     anchor_position,
     apply_anchor_mask,
     build_conv_matrix,
@@ -36,7 +35,7 @@ def example_pcb(dtype=np.float64):
     """k=2 TL kernel [[1,2],[3,1]] whose forward action on [[1,2],[3,4]]
     was worked out by direct evaluation of the padded convolution."""
     w = np.array([[[[1.0, 2.0], [3.0, 1.0]]]], dtype=dtype)
-    return PaddedConvBlock(MaskedKernel(w, Orientation.TL))
+    return MaskedKernel(w, Orientation.TL)
 
 
 X_EXAMPLE = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
@@ -52,7 +51,7 @@ def test_forward_identity_kernel_bit_exact():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 3, 5, 4)).astype(np.float32)
     for o in Orientation:
-        pcb = PaddedConvBlock(identity_kernel(3, 3, o, np.float32))
+        pcb = identity_kernel(3, 3, o, np.float32)
         assert np.array_equal(pcb_forward(x, pcb), x)
 
 
@@ -60,7 +59,7 @@ def test_forward_identity_kernel_bit_exact():
 @pytest.mark.parametrize("c,k", [(1, 2), (2, 3), (4, 2)])
 def test_forward_matches_dense_matrix(orientation, c, k):
     rng = np.random.default_rng(11)
-    pcb = PaddedConvBlock(random_masked_kernel(c, k, orientation, rng))
+    pcb = random_masked_kernel(c, k, orientation, rng)
     x = rng.normal(size=(2, c, 5, 6))
     y = pcb_forward(x, pcb)
     m = build_conv_matrix(pcb, 5, 6)
@@ -69,7 +68,7 @@ def test_forward_matches_dense_matrix(orientation, c, k):
 
 
 def test_forward_channel_mismatch():
-    pcb = PaddedConvBlock(identity_kernel(2, 3, Orientation.TL))
+    pcb = identity_kernel(2, 3, Orientation.TL)
     with pytest.raises(ShapeMismatch):
         pcb_forward(np.zeros((1, 3, 4, 4)), pcb)
 
@@ -78,12 +77,12 @@ def test_forward_channel_mismatch():
 def test_orientation_reduces_to_tl_exactly(orientation):
     rng = np.random.default_rng(5)
     c, k = 2, 3
-    pcb = PaddedConvBlock(random_masked_kernel(c, k, orientation, rng))
+    pcb = random_masked_kernel(c, k, orientation, rng)
     x = rng.normal(size=(1, c, 4, 5))
     axes = orientation.flip_axes
     ax_ids = tuple(a for name, a in (("height", 2), ("width", 3)) if name in axes)
-    w_tl = np.flip(pcb.kernel.weights, axis=ax_ids) if ax_ids else pcb.kernel.weights
-    tl = PaddedConvBlock(MaskedKernel(np.ascontiguousarray(w_tl), Orientation.TL))
+    w_tl = np.flip(pcb.weights, axis=ax_ids) if ax_ids else pcb.weights
+    tl = MaskedKernel(np.ascontiguousarray(w_tl), Orientation.TL)
     via_tl = flip(pcb_forward(flip(x, axes), tl), axes)
     assert np.array_equal(pcb_forward(x, pcb), via_tl)
 
@@ -95,7 +94,7 @@ def test_orientation_reduces_to_tl_exactly(orientation):
 def test_conv_matrix_fig_structure():
     # 3x3 single-channel image, k=2, TL: 9x9 lower triangular, unit diagonal
     rng = np.random.default_rng(1)
-    pcb = PaddedConvBlock(random_masked_kernel(1, 2, Orientation.TL, rng))
+    pcb = random_masked_kernel(1, 2, Orientation.TL, rng)
     m = build_conv_matrix(pcb, 3, 3)
     assert m.shape == (9, 9)
     assert np.array_equal(np.triu(m, 1), np.zeros((9, 9)))
@@ -103,7 +102,7 @@ def test_conv_matrix_fig_structure():
 
 
 def test_conv_matrix_identity_kernel():
-    pcb = PaddedConvBlock(identity_kernel(2, 3, Orientation.BR))
+    pcb = identity_kernel(2, 3, Orientation.BR)
     m = build_conv_matrix(pcb, 4, 4)
     assert np.array_equal(m, np.eye(32))
 
@@ -112,7 +111,7 @@ def test_conv_matrix_identity_kernel():
 def test_conv_matrix_triangular_and_det_one(orientation):
     rng = np.random.default_rng(2)
     c, h, w, k = 3, 4, 5, 3
-    pcb = PaddedConvBlock(random_masked_kernel(c, k, orientation, rng))
+    pcb = random_masked_kernel(c, k, orientation, rng)
     m = build_conv_matrix(pcb, h, w)
     perm = canonical_permutation(orientation, h, w, c)
     mc = m[np.ix_(perm, perm)]
@@ -124,7 +123,7 @@ def test_conv_matrix_triangular_and_det_one(orientation):
 
 
 def test_conv_matrix_dense_cap():
-    pcb = PaddedConvBlock(identity_kernel(8, 3, Orientation.TL))
+    pcb = identity_kernel(8, 3, Orientation.TL)
     with pytest.raises(TooLargeForDense):
         build_conv_matrix(pcb, 32, 32)
 
@@ -141,7 +140,7 @@ def test_invert_reference_hand_example():
 def test_invert_reference_identity_kernel():
     rng = np.random.default_rng(3)
     y = rng.normal(size=(1, 2, 4, 4))
-    pcb = PaddedConvBlock(identity_kernel(2, 3, Orientation.TL))
+    pcb = identity_kernel(2, 3, Orientation.TL)
     assert np.array_equal(pcb_invert_reference(y, pcb), y)
 
 
@@ -149,7 +148,7 @@ def test_invert_reference_identity_kernel():
 def test_invert_reference_matches_dense(orientation):
     rng = np.random.default_rng(4)
     c = 4
-    pcb = PaddedConvBlock(random_masked_kernel(c, 3, orientation, rng))
+    pcb = random_masked_kernel(c, 3, orientation, rng)
     y = rng.normal(size=(2, c, 8, 8))
     ref = pcb_invert_reference(y, pcb)
     dns = dense_invert(y, pcb)
@@ -166,7 +165,7 @@ def test_wavefront_hand_example_and_phase_count():
 def test_wavefront_32x32_phase_and_element_bounds():
     rng = np.random.default_rng(6)
     c, k = 2, 3
-    pcb = PaddedConvBlock(random_masked_kernel(c, k, Orientation.TL, rng))
+    pcb = random_masked_kernel(c, k, Orientation.TL, rng)
     y = rng.normal(size=(1, c, 32, 32))
     stats = InvertStats()
     pcb_invert_wavefront(y, pcb, workers=4, stats=stats)
@@ -189,7 +188,7 @@ def madds_enumeration(h, w, k, c, n=1, groups=1):
 )
 def test_wavefront_madds_match_enumeration(h, w, k, c):
     rng = np.random.default_rng(7)
-    pcb = PaddedConvBlock(random_masked_kernel(c, k, Orientation.TL, rng))
+    pcb = random_masked_kernel(c, k, Orientation.TL, rng)
     y = rng.normal(size=(2, c, h, w))
     stats = InvertStats()
     pcb_invert_wavefront(y, pcb, workers=1, stats=stats)
@@ -207,7 +206,7 @@ def test_wavefront_madds_match_enumeration(h, w, k, c):
 def test_wavefront_matches_reference_all_orientations(orientation):
     rng = np.random.default_rng(8)
     c = 3
-    pcb = PaddedConvBlock(random_masked_kernel(c, 3, orientation, rng))
+    pcb = random_masked_kernel(c, 3, orientation, rng)
     y = rng.normal(size=(2, c, 6, 9))
     wf = pcb_invert_wavefront(y, pcb, workers=3)
     ref = pcb_invert_reference(y, pcb)
@@ -217,7 +216,7 @@ def test_wavefront_matches_reference_all_orientations(orientation):
 def test_wavefront_multichunk_threading_bit_identical():
     rng = np.random.default_rng(42)
     c, k = 2, 3
-    pcb = PaddedConvBlock(random_masked_kernel(c, k, Orientation.TL, rng, np.float32))
+    pcb = random_masked_kernel(c, k, Orientation.TL, rng, np.float32)
     x = rng.normal(size=(64, c, 16, 16)).astype(np.float32)
     y = pcb_forward(x, pcb)
     single = pcb_invert_wavefront(y, pcb, workers=1)
@@ -229,18 +228,28 @@ def test_wavefront_multichunk_threading_bit_identical():
 def test_wavefront_worker_count_bit_identical():
     rng = np.random.default_rng(9)
     c, k = 4, 3
-    pcb = PaddedConvBlock(random_masked_kernel(c, k, Orientation.TL, rng, np.float32))
+    pcb = random_masked_kernel(c, k, Orientation.TL, rng, np.float32)
     y = rng.normal(size=(2, c, 16, 16)).astype(np.float32)
     results = [pcb_invert_wavefront(y, pcb, workers=nw) for nw in (1, 2, 4, 8)]
     for r in results[1:]:
         assert np.array_equal(results[0], r)
 
 
+def test_wavefront_rejects_workers_below_one():
+    rng = np.random.default_rng(9)
+    pcb = random_masked_kernel(2, 3, Orientation.BR, rng)
+    unit = random_unit(8, 3, rng)
+    with pytest.raises(ShapeMismatch, match="workers"):
+        pcb_invert_wavefront(np.zeros((1, 2, 4, 4)), pcb, workers=0)
+    with pytest.raises(ShapeMismatch, match="workers"):
+        unit_invert(np.zeros((1, 8, 4, 4)), unit, workers=0)
+
+
 def test_triple_oracle_agreement_f64():
     rng = np.random.default_rng(10)
     for c, h, w, k in [(1, 4, 4, 2), (2, 8, 8, 3), (4, 8, 8, 5), (2, 16, 16, 3)]:
         for o in Orientation:
-            pcb = PaddedConvBlock(random_masked_kernel(c, k, o, rng))
+            pcb = random_masked_kernel(c, k, o, rng)
             y = rng.normal(size=(1, c, h, w))
             wf = pcb_invert_wavefront(y, pcb, workers=2)
             ref = pcb_invert_reference(y, pcb)
@@ -261,7 +270,7 @@ def test_triple_oracle_agreement_f64():
 )
 def test_round_trip_property_f64(c, h, w, k, o, seed):
     rng = np.random.default_rng(seed)
-    pcb = PaddedConvBlock(random_masked_kernel(c, k, o, rng))
+    pcb = random_masked_kernel(c, k, o, rng)
     x = rng.normal(size=(1, c, h, w))
     y = pcb_forward(x, pcb)
     back = pcb_invert_wavefront(y, pcb, workers=2)
@@ -271,7 +280,7 @@ def test_round_trip_property_f64(c, h, w, k, o, seed):
 def test_round_trip_f32_tolerance():
     rng = np.random.default_rng(12)
     c, k = 8, 3
-    pcb = PaddedConvBlock(random_masked_kernel(c, k, Orientation.TL, rng, np.float32))
+    pcb = random_masked_kernel(c, k, Orientation.TL, rng, np.float32)
     x = rng.normal(size=(2, c, 32, 32)).astype(np.float32)
     back = pcb_invert_wavefront(pcb_forward(x, pcb), pcb, workers=4)
     assert np.max(np.abs(back - x)) < 1e-4
@@ -308,7 +317,7 @@ def test_unit_orientation_order():
     )
     with pytest.raises(ShapeMismatch):
         FincFlowUnit(
-            [PaddedConvBlock(identity_kernel(1, 3, o)) for o in reversed(UNIT_ORIENTATIONS)]
+            [identity_kernel(1, 3, o) for o in reversed(UNIT_ORIENTATIONS)]
         )
 
 
@@ -400,7 +409,7 @@ def test_pcb_backward_matches_matrix_transpose():
     rng = np.random.default_rng(21)
     c, h, w = 2, 4, 5
     for o in Orientation:
-        pcb = PaddedConvBlock(random_masked_kernel(c, 3, o, rng))
+        pcb = random_masked_kernel(c, 3, o, rng)
         x = rng.normal(size=(1, c, h, w))
         gy = rng.normal(size=(1, c, h, w))
         gx, _ = pcb_backward(gy, x, pcb)
@@ -412,20 +421,20 @@ def test_pcb_backward_matches_matrix_transpose():
 def test_pcb_backward_weights_finite_difference():
     rng = np.random.default_rng(22)
     c, k = 2, 3
-    pcb = PaddedConvBlock(random_masked_kernel(c, k, Orientation.TR, rng))
+    pcb = random_masked_kernel(c, k, Orientation.TR, rng)
     x = rng.normal(size=(2, c, 4, 5))
     gy = rng.normal(size=(2, c, 4, 5))
     _, gw = pcb_backward(gy, x, pcb)
     eps = 1e-6
-    w0 = pcb.kernel.weights
+    w0 = pcb.weights
     fd = np.zeros_like(gw)
     for idx in np.ndindex(*w0.shape):
         wp = w0.copy()
         wp[idx] += eps
         wm = w0.copy()
         wm[idx] -= eps
-        yp = pcb_forward(x, PaddedConvBlock(MaskedKernel(wp, Orientation.TR)))
-        ym = pcb_forward(x, PaddedConvBlock(MaskedKernel(wm, Orientation.TR)))
+        yp = pcb_forward(x, MaskedKernel(wp, Orientation.TR))
+        ym = pcb_forward(x, MaskedKernel(wm, Orientation.TR))
         fd[idx] = ((yp - ym) * gy).sum() / (2 * eps)
     assert np.max(np.abs(fd - gw)) < 1e-7
 

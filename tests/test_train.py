@@ -179,6 +179,9 @@ def test_pgm_round_trip(tmp_path):
     rgb = rng.integers(0, 256, size=(3, 5, 7), dtype=np.uint8)
     write_image(tmp_path / "x.ppm", rgb)
     assert np.array_equal(read_image(tmp_path / "x.ppm"), rgb)
+    # maxval 15: samples are rescaled to 0..255
+    (tmp_path / "x4.pgm").write_bytes(b"P5\n2 1\n15\n" + bytes([15, 7]))
+    assert read_image(tmp_path / "x4.pgm").tolist() == [[[255, 119]]]
 
 
 def test_pgm_corrupt_header(tmp_path):
@@ -188,6 +191,9 @@ def test_pgm_corrupt_header(tmp_path):
     (tmp_path / "short.pgm").write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 3)
     with pytest.raises(BadFormat):
         read_image(tmp_path / "short.pgm")
+    (tmp_path / "over.pgm").write_bytes(b"P5\n2 1\n15\n" + bytes([15, 16]))
+    with pytest.raises(BadFormat, match="maxval"):
+        read_image(tmp_path / "over.pgm")
 
 
 # ---------------------------------------------------------------------------
