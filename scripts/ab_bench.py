@@ -2,9 +2,11 @@
 """Compare the benchmark of a base revision with the working tree.
 
     python3 scripts/ab_bench.py BASE_REV [--first-seed 71] [--pairs 10]
+                                [--workload NAME ...]
 
 The committed files of BASE_REV are exported (``git archive``) into a
-temporary directory.  For every workload in BENCHMARK.json and every seed,
+temporary directory.  For every workload in BENCHMARK.json (or each one
+named by a repeated ``--workload``) and every seed,
 the benchmark command runs once on each tree with ``--trace 0`` for
 BENCHMARK.json's ``run_seconds``;
 the tree that runs first alternates from pair to pair, so both sides see
@@ -94,16 +96,20 @@ def verdict(base, change, better: str, bound: float, more_failed: bool):
 
 
 def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="git revision to compare against, e.g. HEAD~1")
     ap.add_argument("--first-seed", type=int, default=71)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workload", action="append", choices=names, metavar="NAME",
+                    help=f"run only this workload (repeatable; one of {', '.join(names)}; "
+                         "default: all)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
 
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in bench["workloads"]]
+    workloads = [w for w in names if args.workload is None or w in args.workload]
     seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
 

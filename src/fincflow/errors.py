@@ -29,6 +29,10 @@ class TooLargeForDense(FincError):
     """Problem exceeds the dense convolution-matrix size cap."""
 
 
+class ModelTooLarge(FincError):
+    """Model parameters cannot be allocated in memory."""
+
+
 class ZeroScale(FincError):
     """Actnorm scale has a zero entry and cannot be inverted."""
 

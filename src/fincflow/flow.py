@@ -16,12 +16,15 @@ difference suite in the tests is the correctness oracle.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     MissingCache,
+    ModelTooLarge,
     OddChannels,
     OddSpatialDims,
     ShapeMismatch,
@@ -79,6 +82,39 @@ def gaussian_logp_grads(z, mean, log_sd):
 # plumbing convolutions for the coupling and prior nets
 
 
+# Padded planes a thread keeps for reuse; the least recently used goes
+# first.  The benchmark's train step touches 6 distinct planes, sample 4.
+_PLANE_SLOTS = 8
+
+
+class _PlaneWorkspace(threading.local):
+    """Per-thread zero-bordered planes keyed by (shape, dtype, pad)."""
+
+    def __init__(self):
+        self.planes = OrderedDict()
+
+    def padded(self, x, p):
+        """``x`` zero-padded by ``p`` on every side, in a reused buffer.
+
+        The border is zeroed once, when the buffer is made, and each call
+        overwrites only the interior, so the result matches a fresh
+        ``np.zeros`` plane.  It stays valid until this thread's next call
+        with the same key."""
+        n, c, h, w = x.shape
+        key = ((n, c, h + 2 * p, w + 2 * p), x.dtype, p)
+        xp = self.planes.pop(key, None)
+        if xp is None:
+            xp = np.zeros(key[0], dtype=x.dtype)
+            if len(self.planes) >= _PLANE_SLOTS:
+                self.planes.popitem(last=False)
+        self.planes[key] = xp
+        xp[:, :, p : p + h, p : p + w] = x
+        return xp
+
+
+_WORKSPACE = _PlaneWorkspace()
+
+
 class Conv2d:
     """Same-padded stride-1 cross-correlation with bias (k odd).
 
@@ -86,7 +122,12 @@ class Conv2d:
     ``correlate``/``correlate_wgrad`` call.  ``correlate`` picks im2col or
     kn2row from the channel counts, so a widening forward (c_in < c_out)
     and the input gradient of a narrowing one are a single matmul per
-    image."""
+    image.
+
+    The padded operand of each call is written into a per-thread
+    workspace plane whose zero border is kept between calls, instead of a
+    fresh ``np.zeros`` array.  A plane is only read inside the call that
+    fills it: outputs and gradients are always new arrays."""
 
     def __init__(self, c_in, c_out, k, rng=None, dtype=np.float64, zero_init=False):
         if zero_init:
@@ -105,10 +146,7 @@ class Conv2d:
         p = self.k // 2
         if p == 0:
             return x
-        n, c, h, w = x.shape
-        xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        xp[:, :, p : p + h, p : p + w] = x
-        return xp
+        return _WORKSPACE.padded(x, p)
 
     def forward(self, x):
         y = correlate(self._padded(x), self.w.value)
@@ -125,7 +163,11 @@ class Conv2d:
 
 
 class CouplingNet:
-    """3x3 conv, rectifier, 1x1 conv, rectifier, zero-initialized 3x3 conv."""
+    """3x3 conv, rectifier, 1x1 conv, rectifier, zero-initialized 3x3 conv.
+
+    The rectifiers work in place on the conv outputs, which are fresh
+    arrays, so the forward cache holds only (x, a1, a2); ``a > 0`` is the
+    rectifier's mask, the same as ``h > 0`` for every h, NaN included."""
 
     def __init__(self, c_in, c_out, hidden, rng, dtype):
         self.conv1 = Conv2d(c_in, hidden, 3, rng, dtype)
@@ -138,19 +180,19 @@ class CouplingNet:
         yield from self.conv3.named_params(f"{prefix}.conv3")
 
     def forward(self, x):
-        h1 = self.conv1.forward(x)
-        a1 = np.maximum(h1, 0.0)
-        h2 = self.conv2.forward(a1)
-        a2 = np.maximum(h2, 0.0)
+        a1 = self.conv1.forward(x)
+        np.maximum(a1, 0.0, out=a1)
+        a2 = self.conv2.forward(a1)
+        np.maximum(a2, 0.0, out=a2)
         out = self.conv3.forward(a2)
-        return out, (x, h1, a1, h2, a2)
+        return out, (x, a1, a2)
 
     def backward(self, gout, cache):
-        x, h1, a1, h2, a2 = cache
+        x, a1, a2 = cache
         ga2 = self.conv3.backward(gout, a2)
-        gh2 = ga2 * (h2 > 0)
+        gh2 = ga2 * (a2 > 0)
         ga1 = self.conv2.backward(gh2, a1)
-        gh1 = ga1 * (h1 > 0)
+        gh1 = ga1 * (a1 > 0)
         return self.conv1.backward(gh1, x)
 
 
@@ -493,25 +535,32 @@ class FlowModel:
             rng = np.random.default_rng(0)
         c = config.channels
         self.levels = []
-        for lvl in range(config.levels):
-            c *= 4
-            steps = [
-                FlowStep(
-                    c,
-                    config.kernel_size,
-                    config.hidden,
-                    rng,
-                    dtype,
-                    identity_init=identity_init,
-                    data_init=data_init,
-                )
-                for _ in range(config.steps)
-            ]
-            split = None
-            if lvl < config.levels - 1:
-                split = Split(c, rng, dtype)
-                c //= 2
-            self.levels.append((steps, split))
+        try:
+            for lvl in range(config.levels):
+                c *= 4
+                steps = [
+                    FlowStep(
+                        c,
+                        config.kernel_size,
+                        config.hidden,
+                        rng,
+                        dtype,
+                        identity_init=identity_init,
+                        data_init=data_init,
+                    )
+                    for _ in range(config.steps)
+                ]
+                split = None
+                if lvl < config.levels - 1:
+                    split = Split(c, rng, dtype)
+                    c //= 2
+                self.levels.append((steps, split))
+        except (MemoryError, ValueError) as exc:
+            # a ValueError is only mapped when it is numpy's refusal of an
+            # array size that overflows the address space
+            if isinstance(exc, ValueError) and "array is too big" not in str(exc):
+                raise
+            raise ModelTooLarge(f"cannot allocate the parameters of {config}") from exc
         self.final_c = c
         self.prior_mean = Param(np.zeros(c, dtype=dtype))
         self.prior_log_sd = Param(np.zeros(c, dtype=dtype))

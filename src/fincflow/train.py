@@ -35,6 +35,10 @@ class TrainConfig:
             raise BadFormat(f"lr must be > 0, got {self.lr}")
         if not 0 < self.decay <= 1:
             raise BadFormat(f"decay must be in (0, 1], got {self.decay}")
+        if self.grad_clip is not None and not (
+            math.isfinite(self.grad_clip) and self.grad_clip > 0
+        ):
+            raise BadFormat(f"grad clip must be finite and > 0, got {self.grad_clip}")
         if self.batch_size < 1 or self.epochs < 1:
             raise BadFormat(
                 f"batch size and epochs must be >= 1, got {self.batch_size} and {self.epochs}"

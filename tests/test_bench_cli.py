@@ -181,7 +181,9 @@ def test_cli_sample_temperature_zero_identical(tmp_path):
 def test_cli_train_rejects_bad_levels(tmp_path, capsys):
     for bad in (["--levels", "4"], ["--kernel-size", "0"], ["--hidden", "0"],
                 ["--batch-size", "0"], ["--batch-size", "-3"], ["--count", "0"],
-                ["--channels", "0"], ["--size", "0"], ["--size", "1"]):
+                ["--channels", "0"], ["--size", "0"], ["--size", "1"],
+                ["--grad-clip", "-1"], ["--grad-clip", "0"], ["--grad-clip", "nan"],
+                ["--grad-clip", "inf"]):
         rc = main(["train", "--size", "8", *bad, "--out", str(tmp_path / "x"), "--epochs", "1"])
         assert rc == 1, bad
         assert "error:" in capsys.readouterr().err, bad
@@ -189,6 +191,32 @@ def test_cli_train_rejects_bad_levels(tmp_path, capsys):
     assert main(["train", "--size", "8", "--out", str(tmp_path / "x"), "--epochs", "0"]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "x" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("refusal", [
+    MemoryError("Unable to allocate 53.6 GiB for an array"),
+    ValueError("array is too big; `arr.size * arr.dtype.itemsize` is larger than the "
+               "maximum possible size."),
+])
+def test_cli_train_huge_hidden_is_an_error(tmp_path, capsys, monkeypatch, refusal):
+    import fincflow.flow
+
+    asked = []
+
+    def refuse(self, c_in, c_out, k, *args, **kwargs):
+        # stands in for numpy's refusal: nothing of that size is requested
+        asked.append((c_in, c_out))
+        raise refusal
+
+    monkeypatch.setattr(fincflow.flow.Conv2d, "__init__", refuse)
+    rc = main(["train", "--size", "8", "--count", "2", "--hidden", "100000000",
+               "--out", str(tmp_path / "x"), "--epochs", "1"])
+    assert asked and asked[0][1] == 100000000
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: cannot allocate the parameters" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_sample_rejects_bad_count(tmp_path, capsys):

@@ -1,8 +1,12 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from fincflow import flow
 from fincflow.errors import (
     MissingCache,
     OddChannels,
@@ -13,6 +17,7 @@ from fincflow.errors import (
 )
 from fincflow.flow import (
     ActNorm,
+    Conv2d,
     Coupling,
     FlowModel,
     Inv1x1,
@@ -446,3 +451,136 @@ def test_anchor_gradient_zero_after_mask():
         assert np.array_equal(masked[:, :, ah, aw], np.zeros_like(masked[:, :, ah, aw]))
         # and the analytic gradient at the anchor is generally nonzero pre-mask
     assert any(p.grad.any() for p, _ in model.unit_params())
+
+
+def test_model_maps_only_allocation_refusals(monkeypatch):
+    # MemoryError and numpy's "array is too big" become ModelTooLarge (see
+    # test_cli_train_huge_hidden_is_an_error); other faults pass through
+    def refuse(self, *args, **kwargs):
+        raise ValueError("some other fault")
+
+    monkeypatch.setattr(Conv2d, "__init__", refuse)
+    with pytest.raises(ValueError, match="some other fault"):
+        FlowModel(ModelConfig(4, 8, 8, 1, 1, hidden=8))
+
+
+# ---------------------------------------------------------------------------
+# padded-plane workspace of Conv2d
+
+
+def in_fresh_thread(fn):
+    """fn() run on a new thread, whose workspace starts empty."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result()
+
+
+def forward_backward(model, x):
+    """Every array a training step reads: latents, input gradient, the two
+    totals and every parameter gradient."""
+    model.zero_grad()
+    latents, logdet, logp = model.forward(x)
+    gx = model.backward()
+    grads = [p.grad.copy() for _, p in model.named_params()]
+    return [*latents, gx, np.array([logdet, logp]), *grads]
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_conv2d_results_never_share_memory_with_the_workspace():
+    rng = np.random.default_rng(30)
+    for k in (3, 5, 1):
+        conv = Conv2d(3, 5, k, rng)
+        x = rng.normal(size=(2, 3, 6, 7))
+        y = conv.forward(x)
+        gx = conv.backward(rng.normal(size=y.shape), x)
+        planes = list(flow._WORKSPACE.planes.values())
+        assert planes
+        for out in (y, gx):
+            assert not any(np.shares_memory(out, plane) for plane in planes), k
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_workspace_reuse_is_bit_identical_to_a_fresh_model(dtype):
+    def build():
+        return toy_model(seed=31, dtype=dtype, levels=2, hw=8, hidden=8)
+
+    model = build()
+    rng = np.random.default_rng(32)
+    for n in (8, 64, 8):
+        x = rng.normal(size=(n, 4, 8, 8)).astype(model.dtype)
+        got = forward_backward(model, x)
+        want = in_fresh_thread(lambda: forward_backward(build(), x))
+        assert_bit_identical(got, want)
+
+
+def test_workspace_keys_on_the_padding():
+    # k=3 on 6x6 and k=5 on 4x4 both pad to 8x8 planes with different borders
+    rng = np.random.default_rng(33)
+    conv3, conv5 = Conv2d(2, 3, 3, rng), Conv2d(2, 3, 5, rng)
+    x6, x4 = rng.normal(size=(1, 2, 6, 6)), rng.normal(size=(1, 2, 4, 4))
+
+    def both():
+        return [conv3.forward(x6), conv5.forward(x4)]
+
+    want = [in_fresh_thread(lambda: conv3.forward(x6)),
+            in_fresh_thread(lambda: conv5.forward(x4))]
+    assert_bit_identical(both() + both(), want + want)
+
+
+def test_workspace_borders_stay_positive_zero_after_backward():
+    model = toy_model(seed=34, levels=2, hw=8, hidden=8)
+    x = np.random.default_rng(35).normal(size=(4, 4, 8, 8))
+
+    def run():
+        forward_backward(model, x)
+        return list(flow._WORKSPACE.planes.items())
+
+    planes = in_fresh_thread(run)
+    assert planes
+    for (shape, _, p), plane in planes:
+        border = np.ones(shape, dtype=bool)
+        border[:, :, p:-p, p:-p] = False
+        values = plane[border]
+        assert np.all(values == 0.0) and not np.any(np.signbit(values)), shape
+        assert plane[~border].any()
+
+
+def test_workspace_holds_a_bounded_number_of_planes():
+    conv = Conv2d(1, 1, 3, np.random.default_rng(36))
+
+    def run():
+        for side in range(1, 3 * flow._PLANE_SLOTS):
+            conv.forward(np.ones((1, 1, side, side)))
+        return list(flow._WORKSPACE.planes)
+
+    keys = in_fresh_thread(run)
+    assert len(keys) == flow._PLANE_SLOTS
+    side = 3 * flow._PLANE_SLOTS - 1
+    assert keys[-1][0] == (1, 1, side + 2, side + 2)
+
+
+def test_two_threads_sampling_one_model_match_sequential_calls():
+    model = toy_model(seed=37, dtype="f32", levels=2, hw=16, hidden=16)
+    seeds = {0: (1, 2, 3), 1: (4, 5, 6)}
+    want = {t: [model.sample(16, 0.7, np.random.default_rng(s)) for s in ss]
+            for t, ss in seeds.items()}
+    start = threading.Barrier(2)
+
+    def draw(t):
+        start.wait()
+        return [model.sample(16, 0.7, np.random.default_rng(s)) for s in seeds[t]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            got = dict(zip(seeds, pool.map(draw, seeds)))
+    finally:
+        sys.setswitchinterval(interval)
+    for t in seeds:
+        assert_bit_identical(got[t], want[t])
