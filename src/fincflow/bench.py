@@ -31,6 +31,7 @@ from .invconv import (
     pcb_invert_wavefront,
     random_masked_kernel,
     random_unit,
+    require_workers,
     unit_forward,
     unit_invert,
 )
@@ -124,6 +125,7 @@ def bench_pcb(
     runs: int = RUNS_TOTAL,
 ) -> BenchReport:
     """Time one inversion strategy on an untrained random block."""
+    require_workers(workers)
     rng = np.random.default_rng(seed)
     pcb = random_masked_kernel(c, k, Orientation.TL, rng, dtype)
     y = rng.normal(size=(batch, c, n, n)).astype(dtype)
@@ -165,6 +167,7 @@ def bench_unit(
 ) -> BenchReport:
     """Time a whole four-block unit (C divisible by 4); the reference
     strategy inverts the four blocks sequentially."""
+    require_workers(workers)
     rng = np.random.default_rng(seed)
     unit = random_unit(c, k, rng, dtype)
     y = rng.normal(size=(batch, c, n, n)).astype(dtype)

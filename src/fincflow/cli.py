@@ -52,9 +52,8 @@ def build_parser():
         "--workers",
         type=int,
         default=_default_workers(),
-        help="must be >= 1; kept for CLI stability: the inverse solves each of "
-        "its H+W-1 anti-diagonals with one batched gather and contraction, and "
-        "results are identical for any value (default: FINCFLOW_WORKERS or 1)",
+        help="must be >= 1; kept for CLI stability: results are identical for "
+        "any value (default: FINCFLOW_WORKERS or 1)",
     )
     common.add_argument("--out", type=str, default="out")
 
@@ -372,6 +371,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     try:
+        _require_positive(args, "workers")
         return COMMANDS[args.command](args)
     except FincError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,6 +37,7 @@ from .invconv import (
     UNIT_ORIENTATIONS,
     identity_unit,
     random_unit,
+    require_workers,
     unit_backward,
     unit_forward,
     unit_invert,
@@ -443,8 +444,8 @@ class UnitLayer:
         y, logdet = unit_forward(x, self.unit())
         return y, logdet, (x,)
 
-    def inverse(self, y, workers=1):
-        return unit_invert(y, self.unit(), workers=workers)
+    def inverse(self, y):
+        return unit_invert(y, self.unit())
 
     def backward(self, gy, gld, cache):
         (x,) = _need(cache)
@@ -478,11 +479,11 @@ class FlowStep:
             caches.append(cache)
         return x, total, caches
 
-    def inverse(self, y, workers=1):
+    def inverse(self, y):
         y = self.coupling.inverse(y)
         y = self.inv1x1.inverse(y)
         y = self.actnorm.inverse(y)
-        return self.unit.inverse(y, workers=workers)
+        return self.unit.inverse(y)
 
     def backward(self, gy, gld, caches):
         caches = _need(caches)
@@ -644,7 +645,8 @@ class FlowModel:
         return shapes
 
     def inverse(self, latents, workers=1):
-        """Reconstruct the input from a latent stack."""
+        """Reconstruct the input from a latent stack (``workers`` >= 1)."""
+        require_workers(workers)
         shapes = self.latent_shapes(latents[-1].shape[0])
         if len(latents) != len(shapes):
             raise ShapeMismatch(f"expected {len(shapes)} latents, got {len(latents)}")
@@ -658,13 +660,14 @@ class FlowModel:
                 h = split.inverse(h, latents[zi].astype(self.dtype, copy=False))
                 zi -= 1
             for step in reversed(steps):
-                h = step.inverse(h, workers=workers)
+                h = step.inverse(h)
             h = Squeeze.inverse(h)
         return h
 
     def sample(self, n, temperature=1.0, rng=None, workers=1):
         """Draw latents from the priors (std scaled by temperature) and
         run the inverse flow."""
+        require_workers(workers)
         if temperature < 0.0:
             raise ShapeMismatch(f"temperature must be >= 0, got {temperature}")
         if rng is None:
@@ -682,7 +685,7 @@ class FlowModel:
                 z = split.sample_z(h, temperature, rng)
                 h = split.inverse(h, z)
             for step in reversed(steps):
-                h = step.inverse(h, workers=workers)
+                h = step.inverse(h)
             h = Squeeze.inverse(h)
         return h
 

@@ -7,7 +7,10 @@ one multiplying each pixel itself) is frozen to the channel identity.
 Vectorized in raster order the operation is a unit-diagonal triangular
 matrix, so it is exactly invertible with log-det zero.  A
 ``FincFlowUnit`` is four blocks, one per channel quarter, each padded at
-a different corner.  Three inverse paths are provided:
+a different corner.  A block is one channel group and a unit is four:
+forward, backward and the fast inverse each run one group path that
+reads and writes every group in TL form through flipped views, one copy
+into the padded plane and one into the output.  Three inverse paths:
 
 * ``dense_invert``       -- triangular solve of the explicit matrix (oracle)
 * ``pcb_invert_reference`` -- sequential raster back-substitution (oracle)
@@ -15,8 +18,8 @@ a different corner.  Three inverse paths are provided:
   elements of a diagonal are solved together by one batched gather and
   one matrix contraction, and each diagonal reads the ones before it:
   H+W-1 sequential phases total, shared by every block of a unit.  The
-  ``workers`` argument is accepted for API and CLI stability; results
-  are identical for any value.
+  ``workers`` argument must be >= 1 and is kept for API and CLI
+  stability; results are identical for any value.
 """
 
 from __future__ import annotations
@@ -28,16 +31,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IndivisibleChannels, ShapeMismatch, TooLargeForDense
-from .tensor import (
-    Orientation,
-    channel_concat,
-    channel_split,
-    correlate,
-    correlate_wgrad,
-    flip,
-    pad_oriented,
-    require_nchw,
-)
+from .tensor import Orientation, correlate, correlate_wgrad, require_nchw
+# Not called here; bound because perfbench/tracing.py wraps them in this namespace.
+from .tensor import channel_concat, channel_split, flip, pad_oriented  # noqa: F401
 
 DENSE_CAP = 4096
 
@@ -187,80 +183,93 @@ def random_unit(c: int, k: int, rng: np.random.Generator, dtype=np.float64) -> F
     )
 
 
-def _flip_kernel_to_tl(kern: MaskedKernel) -> np.ndarray:
-    """Kernel weights of the equivalent TL-padded block."""
-    axes = tuple(
-        ax
-        for name, ax in (("height", 2), ("width", 3))
-        if name in kern.orientation.flip_axes
-    )
-    if not axes:
-        return kern.weights
-    return np.ascontiguousarray(np.flip(kern.weights, axis=axes))
+def _tl_view(a: np.ndarray, orientation: Orientation) -> np.ndarray:
+    """``a`` flipped over its last two axes into TL form: a view, no copy.
+    The flip is its own inverse, so a TL-form result written through the
+    view of an output lands in the orientation's frame."""
+    return a[..., :: 1 if orientation.pads_top else -1, :: 1 if orientation.pads_left else -1]
 
 
-# ---------------------------------------------------------------------------
-# forward
+def _forward(x: np.ndarray, kernels: list[MaskedKernel]) -> np.ndarray:
+    """Convolve channel group g of x with kernels[g] (all of one C and k).
+    Each group is zero-padded in TL form straight from the TL view of its
+    channel slice, correlated with its TL kernel (made contiguous: a
+    strided one can push matmul off BLAS and change the bits) and written
+    back through the TL view of its slice of the one output."""
+    n, _, h, w = x.shape
+    g_cnt, c, k = len(kernels), kernels[0].channels, kernels[0].k
+    y = np.empty_like(x)
+    # every group fills the same interior, so the zero border is shared
+    xp = np.zeros((n, c, h + k - 1, w + k - 1), dtype=x.dtype)
+    for xg, yg, kern in zip(np.split(x, g_cnt, 1), np.split(y, g_cnt, 1), kernels):
+        xp[:, :, k - 1 :, k - 1 :] = _tl_view(xg, kern.orientation)
+        kw = np.ascontiguousarray(_tl_view(kern.weights, kern.orientation), dtype=x.dtype)
+        _tl_view(yg, kern.orientation)[...] = correlate(xp, kw)
+    return y
+
+
+def _backward(
+    grad_y: np.ndarray, x: np.ndarray, kernels: list[MaskedKernel]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Gradients of a scalar through ``_forward``: (grad_x, grad_weights).
+    The input gradient is itself a ``_forward``: opposite corner, kernel
+    transposed over channels and flipped over both spatial axes.  Each
+    weight gradient is one ``correlate_wgrad`` of x zero-padded at its
+    group's own corner (written through the TL view of the padded plane),
+    cast to the kernel's dtype."""
+    adjoint = [
+        MaskedKernel(kern.weights.swapaxes(0, 1)[:, :, ::-1, ::-1], _OPPOSITE[kern.orientation])
+        for kern in kernels
+    ]
+    n, _, h, w = x.shape
+    g_cnt, c, k = len(kernels), kernels[0].channels, kernels[0].k
+    grads_w = []
+    for xg, gyg, kern in zip(np.split(x, g_cnt, 1), np.split(grad_y, g_cnt, 1), kernels):
+        xp = np.zeros((n, c, h + k - 1, w + k - 1), dtype=x.dtype)
+        _tl_view(xp, kern.orientation)[:, :, k - 1 :, k - 1 :] = _tl_view(xg, kern.orientation)
+        grads_w.append(correlate_wgrad(gyg, xp, k).astype(kern.weights.dtype, copy=False))
+    return _forward(grad_y, adjoint), grads_w
+
+
+def _operands(error: type, kernels: list[MaskedKernel], *arrays) -> list[np.ndarray]:
+    """Rank-4 float operands of one shape whose channels are the groups of ``kernels``."""
+    arrays = [require_nchw(a) for a in arrays]
+    if arrays[0].shape[1] != len(kernels) * kernels[0].channels:
+        raise error(f"input has C={arrays[0].shape[1]}, kernels want {kernels[0].channels} each")
+    if any(a.shape != arrays[0].shape for a in arrays):
+        raise ShapeMismatch(f"operand shapes differ: {[a.shape for a in arrays]}")
+    return arrays
 
 
 def pcb_forward(x: np.ndarray, kern: MaskedKernel) -> np.ndarray:
-    """Cross-correlate the oriented zero-padding of x with the kernel.
-
-    Non-TL orientations are computed by flipping to TL form and back, so
-    the reduction identity holds bit-exactly; the TL form is one
-    ``correlate`` of the TL padding.  Output dims equal input dims; the
-    log-det contribution is exactly 0.
-    """
-    x = require_nchw(x)
-    if x.shape[1] != kern.channels:
-        raise ShapeMismatch(f"input has C={x.shape[1]}, kernel expects {kern.channels}")
-    fl = kern.orientation.flip_axes
-    kw = _flip_kernel_to_tl(kern).astype(x.dtype, copy=False)
-    return flip(correlate(pad_oriented(flip(x, fl), Orientation.TL, kern.k), kw), fl)
+    """Cross-correlate the oriented zero-padding of x with the kernel, in
+    TL form through flipped views, so the reduction identity holds
+    bit-exactly.  Output dims equal input dims; the log-det is exactly 0."""
+    (x,) = _operands(ShapeMismatch, [kern], x)
+    return _forward(x, [kern])
 
 
 def pcb_backward(
     grad_y: np.ndarray, x: np.ndarray, kern: MaskedKernel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of a scalar through pcb_forward: (grad_x, grad_weights).
-
-    The input gradient is itself a padded convolution: opposite corner,
-    kernel transposed over channels and flipped over both spatial axes.
-    The weight gradient is one ``correlate_wgrad`` of the oriented padding
-    of x, cast to the kernel's dtype.
-    """
-    grad_y = require_nchw(grad_y)
-    x = require_nchw(x)
-    adj_w = np.ascontiguousarray(kern.weights.swapaxes(0, 1)[:, :, ::-1, ::-1])
-    grad_x = pcb_forward(grad_y, MaskedKernel(adj_w, _OPPOSITE[kern.orientation]))
-    xp = pad_oriented(x, kern.orientation, kern.k)
-    grad_w = correlate_wgrad(grad_y, xp, kern.k).astype(kern.weights.dtype, copy=False)
+    """Gradients of a scalar through pcb_forward: (grad_x, grad_weights)."""
+    grad_y, x = _operands(ShapeMismatch, [kern], grad_y, x)
+    grad_x, (grad_w,) = _backward(grad_y, x, [kern])
     return grad_x, grad_w
 
 
 def unit_forward(x: np.ndarray, unit: FincFlowUnit) -> tuple[np.ndarray, float]:
     """Convolve each channel quarter with its block; log-det is always 0."""
-    x = require_nchw(x)
-    if x.shape[1] != unit.channels:
-        raise IndivisibleChannels(
-            f"unit expects C={unit.channels}, got {x.shape[1]}"
-        )
-    quarters = channel_split(x, 4)
-    outs = [pcb_forward(q, blk) for q, blk in zip(quarters, unit.blocks)]
-    return channel_concat(outs), 0.0
+    (x,) = _operands(IndivisibleChannels, unit.blocks, x)
+    return _forward(x, unit.blocks), 0.0
 
 
 def unit_backward(
     grad_y: np.ndarray, x: np.ndarray, unit: FincFlowUnit
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    gys = channel_split(grad_y, 4)
-    xs = channel_split(x, 4)
-    grads_x, grads_w = [], []
-    for gy, xq, blk in zip(gys, xs, unit.blocks):
-        gx, gw = pcb_backward(gy, xq, blk)
-        grads_x.append(gx)
-        grads_w.append(gw)
-    return channel_concat(grads_x), grads_w
+    """Gradients through unit_forward: grad_x and one weight gradient per block."""
+    grad_y, x = _operands(IndivisibleChannels, unit.blocks, grad_y, x)
+    return _backward(grad_y, x, unit.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -414,37 +423,36 @@ def _wavefront_plan(h: int, w: int, k: int) -> tuple[_Diagonal, ...]:
     return tuple(plan)
 
 
-def _wavefront_invert_tl(
-    y: np.ndarray,
-    kernels: np.ndarray,
-    stats: InvertStats | None = None,
+def _invert(
+    y: np.ndarray, kernels: list[MaskedKernel], stats: InvertStats | None
 ) -> np.ndarray:
-    """Core anti-diagonal solver for TL-padded blocks.
-
-    y: (G, N, C, H, W) stacked problems; kernels: (G, C, C, k, k), one
-    kernel per group.  For every diagonal d the update
+    """Invert ``_forward``: channel group g of y under kernels[g], all
+    groups in one TL-form anti-diagonal sweep.  Each group is copied from
+    the TL view of its channel slice into its group of one padded
+    (G, Hp, Wp, C, N) buffer and its solution is copied back through the
+    same view.  For every diagonal d the update
 
         X[c,h,w] -= sum over non-anchor taps of
                     X[k_c, h-k_h, w-k_w] * K[c, k_c, k-1-k_h, k-1-k_w]
 
-    is one gather of the (G, P, (k*k-1)*C, N) patch of all P pixels on
-    the diagonal and one batched matmul with the (G, C, (k*k-1)*C) tap
-    matrix.  Out-of-image taps read the zero padding, so no tap needs a
-    validity mask.  The H+W-1 diagonals are the sequential phases: each
-    reads the values the previous ones wrote.
+    (K the TL-form kernel) is one gather of the (G, P, (k*k-1)*C, N)
+    patch of all P pixels on the diagonal and one batched matmul with
+    the (G, C, (k*k-1)*C) tap matrix.  Out-of-image taps read the zero
+    padding, so no tap needs a validity mask.  The H+W-1 diagonals are
+    the sequential phases: each reads the values the previous ones wrote.
     """
-    g_cnt, n, c, h, w = y.shape
-    k = kernels.shape[-1]
+    n, _, h, w = y.shape
+    g_cnt, c, k = len(kernels), kernels[0].channels, kernels[0].k
     plan = _wavefront_plan(h, w, k)
     # Batch innermost: a gathered pixel is one contiguous (C, N) block.
     xp = np.zeros((g_cnt, h + k - 1, w + k - 1, c, n), dtype=y.dtype)
-    xp[:, k - 1 :, k - 1 :] = y.transpose(0, 3, 4, 2, 1)
+    # tapmat[g, 0, c, t*C + k_c] = K[g, c, k_c, k-1-k_h, k-1-k_w], tap t = k_h*k + k_w
+    tapmat = np.empty((g_cnt, 1, c, (k * k - 1) * c), dtype=y.dtype)
+    for xg, tg, yg, kern in zip(xp, tapmat[:, 0], np.split(y, g_cnt, 1), kernels):
+        xg[k - 1 :, k - 1 :] = _tl_view(yg, kern.orientation).transpose(2, 3, 1, 0)
+        kflip = _tl_view(kern.weights, kern.orientation)[:, :, ::-1, ::-1]
+        tg[...] = kflip.reshape(c, c, k * k)[..., 1:].transpose(0, 2, 1).reshape(tg.shape)
     flat = xp.reshape(g_cnt, -1, c, n)
-    # tapmat[g, c, t*C + k_c] = K[g, c, k_c, k-1-k_h, k-1-k_w], tap t = k_h*k + k_w
-    kflip = kernels[:, :, :, ::-1, ::-1].astype(y.dtype, copy=False)
-    tapmat = np.ascontiguousarray(
-        kflip.reshape(g_cnt, c, c, k * k)[..., 1:].transpose(0, 1, 3, 2)
-    ).reshape(g_cnt, 1, c, (k * k - 1) * c)
     for diag in plan:
         patch = np.take(flat, diag.gather, axis=1)  # (G, P, k*k-1, C, N)
         patch = patch.reshape(g_cnt, len(diag.gather), (k * k - 1) * c, n)
@@ -455,31 +463,16 @@ def _wavefront_invert_tl(
         stats.max_element_madds = max(
             stats.max_element_madds, c * max(diag.max_taps for diag in plan)
         )
-    return np.ascontiguousarray(xp[:, k - 1 :, k - 1 :].transpose(0, 4, 3, 1, 2))
+    x = np.empty_like(y)
+    for xg, sol, kern in zip(np.split(x, g_cnt, 1), xp, kernels):
+        _tl_view(xg, kern.orientation)[...] = sol[k - 1 :, k - 1 :].transpose(3, 2, 0, 1)
+    return x
 
 
-def _wavefront_invert(
-    ys: list[np.ndarray],
-    kernels: list[MaskedKernel],
-    workers: int,
-    stats: InvertStats | None,
-) -> list[np.ndarray]:
-    """Invert ys[i] under kernels[i], all in one TL sweep.
-
-    Each (input, kernel) pair is flipped to TL form, the pairs are
-    stacked as the groups of ``_wavefront_invert_tl`` so they share every
-    phase, and the solutions are flipped back.  ``workers`` must be >= 1;
-    it is kept for API stability and the result is identical for any
-    value.
-    """
+def require_workers(workers: int) -> None:
+    """Reject a worker count below 1; results are identical for any other."""
     if workers < 1:
         raise ShapeMismatch(f"workers must be >= 1, got {workers}")
-    solved = _wavefront_invert_tl(
-        np.stack([flip(y, kern.orientation.flip_axes) for y, kern in zip(ys, kernels)]),
-        np.stack([_flip_kernel_to_tl(kern) for kern in kernels]),
-        stats,
-    )
-    return [flip(x, kern.orientation.flip_axes) for x, kern in zip(solved, kernels)]
 
 
 def pcb_invert_wavefront(
@@ -489,10 +482,9 @@ def pcb_invert_wavefront(
     stats: InvertStats | None = None,
 ) -> np.ndarray:
     """Invert pcb_forward via the anti-diagonal sweep of H+W-1 phases."""
-    y = require_nchw(y)
-    if y.shape[1] != kern.channels:
-        raise ShapeMismatch(f"input has C={y.shape[1]}, kernel expects {kern.channels}")
-    return _wavefront_invert([y], [kern], workers, stats)[0]
+    (y,) = _operands(ShapeMismatch, [kern], y)
+    require_workers(workers)
+    return _invert(y, [kern], stats)
 
 
 def unit_invert(
@@ -503,7 +495,6 @@ def unit_invert(
 ) -> np.ndarray:
     """Invert a whole unit: its four blocks share every phase, so the
     phase count stays H+W-1 for the whole unit."""
-    y = require_nchw(y)
-    if y.shape[1] != unit.channels:
-        raise IndivisibleChannels(f"unit expects C={unit.channels}, got {y.shape[1]}")
-    return channel_concat(_wavefront_invert(channel_split(y, 4), unit.blocks, workers, stats))
+    (y,) = _operands(IndivisibleChannels, unit.blocks, y)
+    require_workers(workers)
+    return _invert(y, unit.blocks, stats)

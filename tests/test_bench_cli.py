@@ -13,7 +13,7 @@ from fincflow.bench import (
     write_gnuplot,
 )
 from fincflow.cli import main, parse_config_file
-from fincflow.errors import BadFormat
+from fincflow.errors import BadFormat, ShapeMismatch
 from fincflow.flow import FlowModel, ModelConfig
 from fincflow.images import read_image
 from fincflow.tensor import read_tensor
@@ -183,7 +183,7 @@ def test_cli_train_rejects_bad_levels(tmp_path, capsys):
                 ["--batch-size", "0"], ["--batch-size", "-3"], ["--count", "0"],
                 ["--channels", "0"], ["--size", "0"], ["--size", "1"],
                 ["--grad-clip", "-1"], ["--grad-clip", "0"], ["--grad-clip", "nan"],
-                ["--grad-clip", "inf"]):
+                ["--grad-clip", "inf"], ["--workers", "0"], ["--workers", "-3"]):
         rc = main(["train", "--size", "8", *bad, "--out", str(tmp_path / "x"), "--epochs", "1"])
         assert rc == 1, bad
         assert "error:" in capsys.readouterr().err, bad
@@ -319,6 +319,12 @@ def test_cli_bench_rejects_bad_sizes(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["bench", "--sizes", "8", "--batch", "-1"]) == 1
     assert "error:" in capsys.readouterr().err
+    for workers in ("0", "-3"):
+        args = ["bench", "--sizes", "8", "--strategies", "reference", "--workers", workers]
+        assert main(args) == 1, workers
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "workers" in captured.err, workers
+        assert "reference" not in captured.out, workers  # no CSV row was written
 
 
 def test_config_file_parse_and_override(tmp_path):
@@ -382,3 +388,12 @@ def test_cli_sample_pgm_for_single_channel(tmp_path):
                  "--out", str(out / "s")]) == 0
     img = read_image(out / "s" / "sample_000.pgm")
     assert img.shape == (1, 8, 8)
+
+
+def test_bench_rejects_workers_below_one():
+    for strategy in ("reference", "wavefront", "dense"):
+        with pytest.raises(ShapeMismatch, match="workers"):
+            bench_pcb(8, 2, 3, 1, 0, strategy, runs=1)
+    for strategy in ("reference", "wavefront"):
+        with pytest.raises(ShapeMismatch, match="workers"):
+            bench_unit(8, 4, 3, 1, 0, strategy, runs=1)

@@ -342,8 +342,11 @@ def test_model_inverse_and_sample_reject_workers_below_one():
     latents, _, _ = model.forward(np.zeros((1, 4, 8, 8)))
     with pytest.raises(ShapeMismatch, match="workers"):
         model.inverse(latents, workers=0)
+    rng = np.random.default_rng(0)
+    drawn_before = rng.bit_generator.state
     with pytest.raises(ShapeMismatch, match="workers"):
-        model.sample(1, rng=np.random.default_rng(0), workers=0)
+        model.sample(1, rng=rng, workers=0)
+    assert rng.bit_generator.state == drawn_before  # refused before any latent is drawn
 
 
 def test_model_logdet_matches_numeric_jacobian():

@@ -448,3 +448,35 @@ def test_unit_backward_shapes():
     assert gx.shape == x.shape
     assert len(gws) == 4
     assert all(gw.shape == (2, 2, 3, 3) for gw in gws)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_unit_paths_equal_per_block_paths_exactly(dtype, k):
+    """A unit runs its four quarters through flipped views of one input
+    and one output; every result must equal the per-block calls on the
+    quarters, concatenated, bit for bit, and leave the input untouched."""
+    for n, h, w in [(1, 5, 7), (3, 5, 7), (1, 1, 6), (3, 1, 6)]:
+        rng = np.random.default_rng([k, n, h, w])
+        unit = random_unit(8, k, rng, dtype)
+        x = rng.normal(size=(n, 8, h, w)).astype(dtype)
+        gy = rng.normal(size=(n, 8, h, w)).astype(dtype)
+        x_before, gy_before = x.copy(), gy.copy()
+        y, _ = unit_forward(x, unit)
+        gx, gws = unit_backward(gy, x, unit)
+        back = unit_invert(x, unit)
+        assert np.array_equal(x, x_before) and np.array_equal(gy, gy_before)
+
+        blocks = list(zip(channel_split(x, 4), channel_split(gy, 4), unit.blocks))
+        per_block = [pcb_backward(gq, xq, blk) for xq, gq, blk in blocks]
+        want_y = np.concatenate([pcb_forward(xq, blk) for xq, _, blk in blocks], axis=1)
+        want_back = np.concatenate([pcb_invert_wavefront(xq, blk) for xq, _, blk in blocks], axis=1)
+        case = (n, h, w)
+        assert np.array_equal(y, want_y), case
+        assert np.array_equal(gx, np.concatenate([gxq for gxq, _ in per_block], axis=1)), case
+        for gw, (_, want_gw) in zip(gws, per_block):
+            assert gw.dtype == want_gw.dtype and np.array_equal(gw, want_gw), case
+        assert np.array_equal(back, want_back), case
+        for out in (y, gx, back, *gws):
+            assert out.dtype == dtype
+            assert not np.shares_memory(out, x) and not np.shares_memory(out, gy), case
