@@ -9,6 +9,7 @@ FINCFLOW_WORKERS sets the default worker count.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -52,8 +53,9 @@ def build_parser():
         "--workers",
         type=int,
         default=_default_workers(),
-        help="must be >= 1; kept for CLI stability: results are identical for "
-        "any value (default: FINCFLOW_WORKERS or 1)",
+        help="threads over which sample spreads its batch, in chunks of at most "
+        "32 images; other commands only check it; must be >= 1, and results "
+        "are identical for any value (default: FINCFLOW_WORKERS or 1)",
     )
     common.add_argument("--out", type=str, default="out")
 
@@ -211,8 +213,8 @@ def _requantize(x: np.ndarray) -> np.ndarray:
 
 
 def cmd_sample(args) -> int:
-    if args.temperature < 0:
-        raise BadFormat(f"temperature must be >= 0, got {args.temperature}")
+    if not (math.isfinite(args.temperature) and args.temperature >= 0):
+        raise BadFormat(f"temperature must be finite and >= 0, got {args.temperature}")
     _require_positive(args, "count")
     model = checkpoint_load(args.checkpoint)
     rng = np.random.default_rng(args.seed)

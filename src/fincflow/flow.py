@@ -402,10 +402,17 @@ class Split:
         return np.concatenate([x1, z], axis=1)
 
     def sample_z(self, x1, temperature, rng):
+        """The dropped half for the retained half ``x1``: its prior mean plus
+        ``temperature`` times the prior's std times standard-normal noise.
+        ``rng`` is a Generator, or that noise already drawn in the latent's
+        shape; it is not used at temperature 0."""
         mean, log_sd = self._prior_params(x1)
         if temperature == 0.0:
             return mean.astype(x1.dtype)
-        eps = rng.standard_normal(mean.shape).astype(x1.dtype)
+        eps = rng if isinstance(rng, np.ndarray) else rng.standard_normal(mean.shape)
+        if eps.shape != mean.shape:
+            raise ShapeMismatch(f"noise shape {eps.shape}, expected {mean.shape}")
+        eps = eps.astype(x1.dtype)
         return (mean + np.exp(log_sd) * temperature * eps).astype(x1.dtype)
 
     def backward(self, g_x1, g_logp, cache):
@@ -492,6 +499,66 @@ class FlowStep:
         ):
             gy = layer.backward(gy, gld, cache)
         return gy
+
+
+# ---------------------------------------------------------------------------
+# batch chunks of the inverse flow
+
+
+# Most images in one chunk of a sample or inverse batch.  The unit inverse
+# puts the batch in its matmuls' columns, and their rounding follows the
+# column count, so chunk bounds depend on the batch size alone: any worker
+# count gives the same bits.
+CHUNK_IMAGES = 32
+# Most pool threads ever started, so that a large ``workers`` never starts
+# one thread per chunk.
+_MAX_POOL_THREADS = 32
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _chunk_pool():
+    """The process's chunk executor, made on first use.  It persists so
+    that its threads keep their Conv2d workspace planes between calls; it
+    starts a thread only when a task finds none idle."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: with the logging module it pulls in, it cost
+            # train and reconstruct, which never chunk, 0.6-1.4 MB of peak
+            # RSS and 5-13% of set-up time
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_MAX_POOL_THREADS, thread_name_prefix="fincflow-chunk")
+        return _pool
+
+
+def _run_chunks(n, workers, run):
+    """``run(lo, hi)`` on the near-equal chunks of at most CHUNK_IMAGES of
+    a batch of ``n``, concatenated in batch order.
+
+    Chunk i goes to lane i mod L, L = min(workers, chunks).  The calling
+    thread runs lane 0, so its first chunk reuses the caller's workspace
+    planes; pool threads run the others.  Every lane finishes before an
+    error from any of them is raised."""
+    parts = np.array_split(np.arange(n), -(-n // CHUNK_IMAGES))
+    bounds = [(int(p[0]), int(p[-1]) + 1) for p in parts]
+    if len(bounds) == 1:
+        return run(0, n)
+    lanes = min(workers, len(bounds), _MAX_POOL_THREADS + 1)
+
+    def lane(i):
+        return [run(lo, hi) for lo, hi in bounds[i::lanes]]
+
+    futures = [_chunk_pool().submit(lane, i) for i in range(1, lanes)]
+    try:
+        done = [lane(0)]
+    finally:
+        for f in futures:
+            f.exception()  # waits for the lane without raising its error
+    done += [f.result() for f in futures]
+    return np.concatenate([done[i % lanes][i // lanes] for i in range(len(bounds))])
 
 
 @dataclass
@@ -645,7 +712,9 @@ class FlowModel:
         return shapes
 
     def inverse(self, latents, workers=1):
-        """Reconstruct the input from a latent stack (``workers`` >= 1)."""
+        """Reconstruct the input from a latent stack.  A batch of more than
+        CHUNK_IMAGES runs in chunks on up to ``workers`` (>= 1) threads; the
+        result is the same for any worker count."""
         require_workers(workers)
         shapes = self.latent_shapes(latents[-1].shape[0])
         if len(latents) != len(shapes):
@@ -653,41 +722,55 @@ class FlowModel:
         for z, want in zip(latents, shapes):
             if tuple(z.shape) != want:
                 raise ShapeMismatch(f"latent shape {z.shape}, expected {want}")
-        h = latents[-1].astype(self.dtype, copy=False)
-        zi = len(latents) - 2
-        for steps, split in reversed(self.levels):
-            if split is not None:
-                h = split.inverse(h, latents[zi].astype(self.dtype, copy=False))
-                zi -= 1
-            for step in reversed(steps):
-                h = step.inverse(h)
-            h = Squeeze.inverse(h)
-        return h
+        zs = [z.astype(self.dtype, copy=False) for z in latents]
+        return self._inverse_flow(zs[-1], zs[-2::-1], workers)
 
     def sample(self, n, temperature=1.0, rng=None, workers=1):
-        """Draw latents from the priors (std scaled by temperature) and
-        run the inverse flow."""
+        """Draw ``n`` latents from the priors (std scaled by temperature)
+        and run the inverse flow, in chunks as ``inverse`` does.  All noise
+        is drawn first, in the order the flow visits the latents: the final
+        one, then each split from the top level down."""
         require_workers(workers)
-        if temperature < 0.0:
-            raise ShapeMismatch(f"temperature must be >= 0, got {temperature}")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ShapeMismatch(f"n must be an integer >= 1, got {n!r}")
+        if not (math.isfinite(temperature) and temperature >= 0.0):
+            raise ShapeMismatch(f"temperature must be finite and >= 0, got {temperature}")
         if rng is None:
             rng = np.random.default_rng(0)
-        shape = self.latent_shapes(n)[-1]
-        mean = np.broadcast_to(self.prior_mean.value[None, :, None, None], shape)
+        shapes = self.latent_shapes(n)
+        mean = np.broadcast_to(self.prior_mean.value[None, :, None, None], shapes[-1])
         sd = np.exp(self.prior_log_sd.value)[None, :, None, None]
         if temperature == 0.0:
             h = np.ascontiguousarray(mean, dtype=self.dtype)
+            noise = [None] * (len(shapes) - 1)
         else:
-            eps = rng.standard_normal(shape).astype(self.dtype)
+            eps = rng.standard_normal(shapes[-1]).astype(self.dtype)
             h = (mean + sd * temperature * eps).astype(self.dtype)
-        for steps, split in reversed(self.levels):
-            if split is not None:
-                z = split.sample_z(h, temperature, rng)
-                h = split.inverse(h, z)
-            for step in reversed(steps):
-                h = step.inverse(h)
-            h = Squeeze.inverse(h)
-        return h
+            noise = [rng.standard_normal(shape) for shape in reversed(shapes[:-1])]
+        return self._inverse_flow(h, noise, workers, temperature)
+
+    def _inverse_flow(self, h, zs, workers, temperature=None):
+        """Run the inverse flow from the final latent ``h`` on the batch's
+        chunks.  ``zs`` holds one entry per split, top level first: its
+        latent or, given a ``temperature``, the noise (None at 0) from
+        which ``Split.sample_z`` makes the latent of each chunk."""
+
+        def run(lo, hi):
+            x = h[lo:hi]
+            chunk_zs = iter(zs)
+            for steps, split in reversed(self.levels):
+                if split is not None:
+                    z = next(chunk_zs)
+                    z = None if z is None else z[lo:hi]
+                    if temperature is not None:
+                        z = split.sample_z(x, temperature, z)
+                    x = split.inverse(x, z)
+                for step in reversed(steps):
+                    x = step.inverse(x)
+                x = Squeeze.inverse(x)
+            return x
+
+        return _run_chunks(len(h), workers, run)
 
     # -- backward -----------------------------------------------------------
 

@@ -230,6 +230,35 @@ def test_cli_sample_rejects_bad_count(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+def test_cli_sample_rejects_non_finite_temperature(tmp_path, capsys):
+    from fincflow.train import checkpoint_save
+
+    ckpt = tmp_path / "m.ckpt"
+    checkpoint_save(FlowModel(ModelConfig(4, 8, 8, levels=1, steps=1, hidden=8)), ckpt)
+    for temperature in ("nan", "inf", "-inf"):
+        args = ["sample", str(ckpt), "--count", "2", f"--temperature={temperature}",
+                "--out", str(tmp_path / "s")]
+        assert main(args) == 1, temperature
+        err = capsys.readouterr().err
+        assert "error: temperature" in err and "Traceback" not in err, temperature
+    assert not (tmp_path / "s").exists()
+
+
+def test_cli_sample_files_identical_for_any_worker_count(tmp_path):
+    out = tmp_path / "m"
+    assert main(["train", "--epochs", "1", "--count", "32", "--batch-size", "32",
+                 "--levels", "1", "--steps", "1", "--hidden", "8",
+                 "--out", str(out), "--seed", "2"]) == 0
+    for workers in ("1", "2"):
+        assert main(["sample", str(out / "model.ckpt"), "--count", "40",
+                     "--workers", workers, "--out", str(out / f"w{workers}")]) == 0
+    names = sorted(p.name for p in (out / "w1").iterdir())
+    assert len(names) == 40
+    assert names == sorted(p.name for p in (out / "w2").iterdir())
+    for name in names:
+        assert (out / "w1" / name).read_bytes() == (out / "w2" / name).read_bytes(), name
+
+
 def test_cli_train_deterministic_rerun(tmp_path):
     outs = []
     for d in ("a", "b"):

@@ -262,6 +262,18 @@ def test_split_temperature_zero_is_mean():
     assert np.array_equal(z, mean)
 
 
+def test_split_sample_z_takes_drawn_noise():
+    sp = Split(4, np.random.default_rng(14), dtype=np.float32)
+    sp.prior.w.value = np.random.default_rng(15).normal(
+        scale=0.1, size=sp.prior.w.value.shape).astype(np.float32)
+    x1 = np.random.default_rng(16).normal(size=(3, 2, 4, 4)).astype(np.float32)
+    drawn = sp.sample_z(x1, 0.7, np.random.default_rng(17))
+    noise = np.random.default_rng(17).standard_normal((3, 2, 4, 4))
+    assert_bit_identical([sp.sample_z(x1, 0.7, noise)], [drawn])
+    with pytest.raises(ShapeMismatch, match="noise shape"):
+        sp.sample_z(x1, 0.7, noise[:2])
+
+
 # ---------------------------------------------------------------------------
 # model
 
@@ -347,6 +359,20 @@ def test_model_inverse_and_sample_reject_workers_below_one():
     with pytest.raises(ShapeMismatch, match="workers"):
         model.sample(1, rng=rng, workers=0)
     assert rng.bit_generator.state == drawn_before  # refused before any latent is drawn
+
+
+def test_model_sample_rejects_bad_count_and_temperature_before_drawing():
+    model = toy_model(seed=21, levels=2, hw=8)
+    rng = np.random.default_rng(0)
+    drawn_before = rng.bit_generator.state
+    for n in (0, -1, 2.0, "2", True, None):
+        with pytest.raises(ShapeMismatch, match="n must be an integer"):
+            model.sample(n, rng=rng)
+    for temperature in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(ShapeMismatch, match="temperature"):
+            model.sample(2, temperature, rng=rng)
+    assert rng.bit_generator.state == drawn_before
+    assert model.sample(np.int64(2), rng=rng).shape == (2, 4, 8, 8)
 
 
 def test_model_logdet_matches_numeric_jacobian():
@@ -587,3 +613,70 @@ def test_two_threads_sampling_one_model_match_sequential_calls():
         sys.setswitchinterval(interval)
     for t in seeds:
         assert_bit_identical(got[t], want[t])
+
+
+# ---------------------------------------------------------------------------
+# batch chunks on the worker pool
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.7])
+@pytest.mark.parametrize("n", [1, 7, 32, 33, 64, 65])
+def test_sample_and_inverse_are_identical_for_any_worker_count(n, temperature):
+    model = toy_model(seed=40, dtype="f32", levels=2, hw=8, hidden=8)
+    samples = [model.sample(n, temperature, np.random.default_rng(41), workers=w)
+               for w in (1, 2, 3, 4)]
+    latent_rng = np.random.default_rng(42)
+    latents = [latent_rng.standard_normal(s).astype(np.float32) for s in model.latent_shapes(n)]
+    inverses = [model.inverse(latents, workers=w) for w in (1, 2, 3, 4)]
+    for got in samples[1:]:
+        assert_bit_identical([got], samples[:1])
+    for got in inverses[1:]:
+        assert_bit_identical([got], inverses[:1])
+    assert samples[0].shape == inverses[0].shape == (n, 4, 8, 8)
+
+
+def test_chunked_batch_matches_its_chunks_run_alone():
+    # 65 images are three chunks of 22, 22 and 21, each inverted from its
+    # own slice of the latents
+    model = toy_model(seed=43, dtype="f32", levels=2, hw=8, hidden=8)
+    latent_rng = np.random.default_rng(44)
+    latents = [latent_rng.standard_normal(s).astype(np.float32) for s in model.latent_shapes(65)]
+    whole = model.inverse(latents, workers=3)
+    for lo, hi in ((0, 22), (22, 44), (44, 65)):
+        part = model.inverse([z[lo:hi] for z in latents])
+        assert_bit_identical([whole[lo:hi]], [part])
+
+
+def test_pool_chunk_error_reaches_the_caller_and_the_next_call_works(monkeypatch):
+    cfg = ModelConfig(4, 8, 8, levels=2, steps=1, hidden=8, dtype="f32")
+    model = FlowModel(cfg, np.random.default_rng(45))  # actnorm not initialised
+    with pytest.raises(ZeroScale, match="not initialized"):
+        model.sample(64, workers=2)
+    x = np.random.default_rng(46).random((8, 4, 8, 8)).astype(np.float32)
+    model.forward(x)
+    want = model.sample(64, 0.7, np.random.default_rng(47), workers=1)
+
+    caller = threading.current_thread()
+    inverse = ActNorm.inverse
+
+    def fails_off_the_caller(self, y):
+        if threading.current_thread() is not caller:
+            raise ZeroScale("raised in a pool chunk")
+        return inverse(self, y)
+
+    monkeypatch.setattr(ActNorm, "inverse", fails_off_the_caller)
+    with pytest.raises(ZeroScale, match="raised in a pool chunk"):
+        model.sample(64, 0.7, np.random.default_rng(47), workers=2)
+    monkeypatch.undo()
+    got = model.sample(64, 0.7, np.random.default_rng(47), workers=2)
+    assert_bit_identical([got], [want])
+
+
+def test_pool_starts_at_most_one_thread_per_extra_chunk():
+    model = toy_model(seed=48, dtype="f32", levels=2, hw=8, hidden=8)
+    n, chunks = 65, 3
+    before = threading.active_count()
+    outs = [model.sample(n, 0.7, np.random.default_rng(49), workers=4) for _ in range(20)]
+    assert threading.active_count() - before <= chunks - 1
+    for got in outs[1:]:
+        assert_bit_identical([got], outs[:1])

@@ -151,6 +151,9 @@ def test_correlate_matches_per_tap_oracle(c, o, k, dtype):
     assert y.shape == want_y.shape and g.shape == want_g.shape
     assert np.max(np.abs(y - want_y)) <= rel * np.max(np.abs(want_y))
     assert np.max(np.abs(g - want_g)) <= rel * np.max(np.abs(want_g))
+    # each image's output is the one it gets alone, whatever the batch
+    for i in range(n):
+        assert np.array_equal(y[i : i + 1], correlate(xp[i : i + 1], wt)), i
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
