@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .errors import FincError, TooLargeForDense
 from .invconv import (
@@ -35,7 +34,7 @@ from .invconv import (
     unit_forward,
     unit_invert,
 )
-from .tensor import Orientation, channel_split
+from .tensor import Orientation
 
 CSV_HEADER = "n,c,k,batch,workers,strategy,mean_s,std_s,ci95_s,phases,madds"
 
@@ -48,7 +47,11 @@ def ci95_half_width(values: np.ndarray) -> float:
     n = len(values)
     if n < 2:
         return 0.0
-    t = float(scipy_stats.t.ppf(0.975, n - 1))
+    # imported here: scipy takes most of the CLI's start-up time, and only
+    # bench reports use it
+    from scipy import stats
+
+    t = float(stats.t.ppf(0.975, n - 1))
     return t * float(np.std(values, ddof=1)) / math.sqrt(n)
 
 
@@ -97,7 +100,7 @@ class BenchReport:
         )
 
 
-def _enumerate_madds(h: int, w: int, k: int, c: int, batch: int, groups: int = 1) -> int:
+def _enumerate_madds(h: int, w: int, k: int, c: int, batch: int, groups: int) -> int:
     """In-bounds non-anchor taps over all output elements (the same count
     the wavefront instrumentation gathers)."""
     per_pixel = 0
@@ -113,6 +116,47 @@ def _timed(fn) -> float:
     return (time.perf_counter_ns() - t0) / 1e9
 
 
+def _bench(n, c, k, batch, workers, strategy, seed, dtype, runs, unit: bool) -> BenchReport:
+    """Time one inversion strategy on an untrained random block or unit.
+    A block is a one-group problem; the reference strategy inverts the
+    groups one after another."""
+    require_workers(workers)
+    rng = np.random.default_rng(seed)
+    if unit:
+        target = random_unit(c, k, rng, dtype)
+        blocks, invert, prefix = target.blocks, unit_invert, "unit-"
+    else:
+        target = random_masked_kernel(c, k, Orientation.TL, rng, dtype)
+        blocks, invert, prefix = [target], pcb_invert_wavefront, ""
+    y = rng.normal(size=(batch, c, n, n)).astype(dtype)
+    report = BenchReport(n, c, k, batch, workers, prefix + strategy)
+    if strategy == "reference":
+
+        def fn():
+            for q, blk in zip(np.split(y, len(blocks), 1), blocks):
+                pcb_invert_reference(q, blk)
+
+        report.phases = n * n  # sequential raster steps per image
+        report.madds = _enumerate_madds(n, n, k, blocks[0].channels, batch, len(blocks))
+    elif strategy == "wavefront":
+        fn = lambda: invert(y, target, workers=workers)
+        st = InvertStats()
+        invert(y, target, workers=workers, stats=st)
+        report.phases = st.phases
+        report.madds = st.madds
+    elif strategy == "dense" and not unit:
+        side = n * n * c
+        if side > DENSE_CAP:
+            raise TooLargeForDense(f"dense strategy refused for H*W*C = {side}")
+        fn = lambda: dense_invert(y, target)
+        report.phases = side  # back-substitution rows per image
+        report.madds = batch * side * (side - 1) // 2
+    else:
+        raise FincError(f"unknown {'unit ' if unit else ''}strategy {strategy!r}")
+    report.runs_s = [_timed(fn) for _ in range(runs)]
+    return report
+
+
 def bench_pcb(
     n: int,
     c: int,
@@ -125,33 +169,7 @@ def bench_pcb(
     runs: int = RUNS_TOTAL,
 ) -> BenchReport:
     """Time one inversion strategy on an untrained random block."""
-    require_workers(workers)
-    rng = np.random.default_rng(seed)
-    pcb = random_masked_kernel(c, k, Orientation.TL, rng, dtype)
-    y = rng.normal(size=(batch, c, n, n)).astype(dtype)
-    report = BenchReport(n, c, k, batch, workers, strategy)
-    if strategy == "reference":
-        fn = lambda: pcb_invert_reference(y, pcb)
-        report.phases = n * n  # sequential raster steps per image
-        report.madds = _enumerate_madds(n, n, k, c, batch)
-    elif strategy == "wavefront":
-        fn = lambda: pcb_invert_wavefront(y, pcb, workers=workers)
-        st = InvertStats()
-        pcb_invert_wavefront(y, pcb, workers=workers, stats=st)
-        report.phases = st.phases
-        report.madds = st.madds
-    elif strategy == "dense":
-        if n * n * c > DENSE_CAP:
-            raise TooLargeForDense(f"dense strategy refused for H*W*C = {n * n * c}")
-        fn = lambda: dense_invert(y, pcb)
-        side = n * n * c
-        report.phases = side  # back-substitution rows per image
-        report.madds = batch * side * (side - 1) // 2
-    else:
-        raise FincError(f"unknown strategy {strategy!r}")
-    for _ in range(runs):
-        report.runs_s.append(_timed(fn))
-    return report
+    return _bench(n, c, k, batch, workers, strategy, seed, dtype, runs, unit=False)
 
 
 def bench_unit(
@@ -167,30 +185,7 @@ def bench_unit(
 ) -> BenchReport:
     """Time a whole four-block unit (C divisible by 4); the reference
     strategy inverts the four blocks sequentially."""
-    require_workers(workers)
-    rng = np.random.default_rng(seed)
-    unit = random_unit(c, k, rng, dtype)
-    y = rng.normal(size=(batch, c, n, n)).astype(dtype)
-    report = BenchReport(n, c, k, batch, workers, f"unit-{strategy}")
-    if strategy == "reference":
-
-        def fn():
-            for q, blk in zip(channel_split(y, 4), unit.blocks):
-                pcb_invert_reference(q, blk)
-
-        report.phases = n * n
-        report.madds = _enumerate_madds(n, n, k, c // 4, batch, groups=4)
-    elif strategy == "wavefront":
-        fn = lambda: unit_invert(y, unit, workers=workers)
-        st = InvertStats()
-        unit_invert(y, unit, workers=workers, stats=st)
-        report.phases = st.phases
-        report.madds = st.madds
-    else:
-        raise FincError(f"unknown unit strategy {strategy!r}")
-    for _ in range(runs):
-        report.runs_s.append(_timed(fn))
-    return report
+    return _bench(n, c, k, batch, workers, strategy, seed, dtype, runs, unit=True)
 
 
 def write_gnuplot(reports: list[BenchReport], path) -> None:
@@ -246,13 +241,20 @@ class CheckResult:
     name: str
     max_err: float
     limit: float
-    passed: bool
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.max_err <= self.limit
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         note = f"  ({self.note})" if self.note else ""
         return f"{status}  {self.name:<34} max_err={self.max_err:.3e}  limit={self.limit:.3e}{note}"
+
+
+def _max_abs(a) -> float:
+    return float(np.max(np.abs(a)))
 
 
 def run_checks(
@@ -264,8 +266,10 @@ def run_checks(
     inject_fault: str | None = None,
 ) -> list[CheckResult]:
     """Round-trip, dense-oracle, triangularity, phase-count, determinism,
-    and gradient checks at a configurable size."""
-    results: list[CheckResult] = []
+    and gradient checks at a configurable size: a table of (name, limit,
+    error function) rows over one shared set-up."""
+    from .flow import CHUNK_IMAGES, FlowModel, ModelConfig
+
     rng = np.random.default_rng(seed)
     pcb = random_masked_kernel(channels, k, Orientation.TL, rng)
     if inject_fault == "anchor":
@@ -273,93 +277,12 @@ def run_checks(
         ah, aw = pcb.anchor
         w[0, 0, ah, aw] = 1.1
         pcb = MaskedKernel(w, Orientation.TL)
-
-    # round trip, f64 and f32
     x64 = rng.normal(size=(2, channels, size, size))
-    err64 = float(
-        np.max(np.abs(pcb_invert_wavefront(pcb_forward(x64, pcb), pcb, workers) - x64))
-    )
-    results.append(CheckResult("round trip f64", err64, 1e-9, err64 <= 1e-9))
-    pcb32 = MaskedKernel(pcb.weights.astype(np.float32), Orientation.TL)
-    x32 = x64.astype(np.float32)
-    err32 = float(
-        np.max(np.abs(pcb_invert_wavefront(pcb_forward(x32, pcb32), pcb32, workers) - x32))
-    )
-    results.append(CheckResult("round trip f32", err32, 1e-4, err32 <= 1e-4))
-
-    # triple oracle (dense capped)
     y = rng.normal(size=(1, channels, size, size))
-    wf = pcb_invert_wavefront(y, pcb, workers)
-    ref = pcb_invert_reference(y, pcb)
-    if size * size * channels <= DENSE_CAP:
-        dns = dense_invert(y, pcb)
-        err = float(
-            max(
-                np.max(np.abs(wf - ref)),
-                np.max(np.abs(wf - dns)),
-                np.max(np.abs(ref - dns)),
-            )
-        )
-        results.append(CheckResult("triple oracle agreement", err, 1e-9, err <= 1e-9))
-    else:
-        err = float(np.max(np.abs(wf - ref)))
-        results.append(
-            CheckResult(
-                "wavefront vs reference",
-                err,
-                1e-9,
-                err <= 1e-9,
-                note=f"dense skipped: H*W*C={size * size * channels} > {DENSE_CAP}",
-            )
-        )
-
-    # triangularity, unit diagonal, det == 1 (exact)
-    tri_h = tri_w = min(size, 8)
-    m = build_conv_matrix(pcb, tri_h, tri_w)
-    perm = canonical_permutation(Orientation.TL, tri_h, tri_w, channels)
-    mc = m[np.ix_(perm, perm)]
-    upper = float(np.max(np.abs(np.triu(mc, 1))))
-    diag_dev = float(np.max(np.abs(np.diag(mc) - 1.0)))
-    det = float(np.prod(np.diag(mc)))
-    tri_err = max(upper, diag_dev, abs(det - 1.0))
-    results.append(
-        CheckResult("triangular, unit diagonal, det=1", tri_err, 0.0, tri_err == 0.0)
-    )
-
-    # phase count and per-element work bound
-    st = InvertStats()
-    pcb_invert_wavefront(y, pcb, workers, stats=st)
-    phase_dev = abs(st.phases - (2 * size - 1))
-    results.append(
-        CheckResult("barrier phases == H+W-1", float(phase_dev), 0.0, phase_dev == 0)
-    )
-    excess = max(0, st.max_element_madds - k * k * channels)
-    results.append(
-        CheckResult("per-element madds <= k^2*C", float(excess), 0.0, excess == 0)
-    )
-
-    # worker-count determinism (bit-exact)
-    base = pcb_invert_wavefront(y, pcb, workers=1)
-    det_err = 0.0
-    for nw in (2, 4, 8):
-        other = pcb_invert_wavefront(y, pcb, workers=nw)
-        if not np.array_equal(base, other):
-            det_err = max(det_err, float(np.max(np.abs(base - other))))
-    results.append(
-        CheckResult("worker-count determinism", det_err, 0.0, det_err == 0.0)
-    )
-
-    # unit round trip (channels divisible by 4, else widen)
-    uc = channels if channels % 4 == 0 else 4 * max(1, channels // 4 + 1)
+    uc = 4 * -(-channels // 4)  # a unit needs channels divisible by 4: widen
     unit = random_unit(uc, k, rng)
     xu = rng.normal(size=(1, uc, size, size))
-    yu, _ = unit_forward(xu, unit)
-    uerr = float(np.max(np.abs(unit_invert(yu, unit, workers) - xu)))
-    results.append(CheckResult("unit round trip f64", uerr, 1e-9, uerr <= 1e-9))
-
-    # flow gradient check on a seeded toy model
-    from .flow import FlowModel, ModelConfig
-
+    # a small seeded f64 flow, off its identity initialisation
     model = FlowModel(
         ModelConfig(4, 4, 4, 1, 1, kernel_size=3, hidden=4, dtype="f64"),
         np.random.default_rng(seed + 1),
@@ -371,9 +294,62 @@ def run_checks(
         )
     for p, orientation in model.unit_params():
         p.value = apply_anchor_mask(MaskedKernel(p.value, orientation)).weights
-    gerr = _model_gradient_error(model, seed + 3)
-    results.append(CheckResult("flow gradient check", gerr, 1e-3, gerr <= 1e-3))
 
+    def round_trip(kern, x):
+        return _max_abs(pcb_invert_wavefront(pcb_forward(x, kern), kern, workers) - x)
+
+    def oracle():
+        wf = pcb_invert_wavefront(y, pcb, workers)
+        ref = pcb_invert_reference(y, pcb)
+        if size * size * channels > DENSE_CAP:
+            note = f"dense skipped: H*W*C={size * size * channels} > {DENSE_CAP}"
+            return "wavefront vs reference", _max_abs(wf - ref), note
+        dns = dense_invert(y, pcb)
+        err = max(_max_abs(wf - ref), _max_abs(wf - dns), _max_abs(ref - dns))
+        return "triple oracle agreement", err, ""
+
+    def triangular():
+        side = min(size, 8)
+        perm = canonical_permutation(Orientation.TL, side, side, channels)
+        m = build_conv_matrix(pcb, side, side)[np.ix_(perm, perm)]
+        diag = np.diag(m)
+        return max(_max_abs(np.triu(m, 1)), _max_abs(diag - 1.0), abs(np.prod(diag) - 1.0))
+
+    def unit_round_trip():
+        yu, _ = unit_forward(xu, unit)
+        return _max_abs(unit_invert(yu, unit, workers) - xu)
+
+    def worker_determinism():
+        # workers only matters to sample / inverse batches of more than
+        # CHUNK_IMAGES images, which run in chunks
+        def draw(nw):
+            return model.sample(CHUNK_IMAGES + 1, rng=np.random.default_rng(seed + 4), workers=nw)
+
+        base = draw(1)
+        return max(_max_abs(draw(nw) - base) for nw in (2, 4, 8))
+
+    pcb32 = MaskedKernel(pcb.weights.astype(np.float32), Orientation.TL)
+    st = InvertStats()
+    pcb_invert_wavefront(y, pcb, workers, stats=st)
+    checks = (
+        ("round trip f64", 1e-9, lambda: round_trip(pcb, x64)),
+        ("round trip f32", 1e-4, lambda: round_trip(pcb32, x64.astype(np.float32))),
+        (None, 1e-9, oracle),  # names itself: dense is skipped above DENSE_CAP
+        ("triangular, unit diagonal, det=1", 0.0, triangular),
+        ("barrier phases == H+W-1", 0.0, lambda: abs(st.phases - (2 * size - 1))),
+        ("per-element madds <= k^2*C", 0.0, lambda: max(0, st.max_element_madds - k * k * channels)),
+        ("worker-count determinism", 0.0, worker_determinism),
+        ("unit round trip f64", 1e-9, unit_round_trip),
+        ("flow gradient check", 1e-3, lambda: _model_gradient_error(model, seed + 3)),
+    )
+    results = []
+    for name, limit, check in checks:
+        note = ""
+        if name is None:
+            name, err, note = check()
+        else:
+            err = check()
+        results.append(CheckResult(name, float(err), limit, note))
     return results
 
 

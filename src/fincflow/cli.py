@@ -19,7 +19,7 @@ import numpy as np
 from . import bench as bench_mod
 from .errors import BadFormat, DimsMismatch, FincError, TooLargeForDense
 from .flow import FlowModel, ModelConfig
-from .images import read_image, write_image
+from .images import pixels_u8, read_image, write_image
 from .tensor import read_tensor, write_tensor
 from .train import (
     TrainConfig,
@@ -192,7 +192,6 @@ def cmd_train(args) -> int:
     cfg = ModelConfig(
         c, h, w, args.levels, args.steps, args.kernel_size, args.hidden, args.dtype
     )
-    cfg.validate()  # reject bad L for the image size before any training
     model = FlowModel(cfg, np.random.default_rng(args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -241,9 +240,7 @@ def _read_any_image(path: str) -> np.ndarray:
         arr = read_tensor(p)
         if arr.shape[0] != 1:
             raise BadFormat(f"{path}: expected a single image, got N={arr.shape[0]}")
-        if np.any(arr < 0) or np.any(arr > 255) or np.any(arr != np.round(arr)):
-            raise BadFormat(f"{path}: pixel values must be integers in [0, 255]")
-        return arr[0].astype(np.uint8)
+        return pixels_u8(arr[0], path)
     return read_image(p)
 
 

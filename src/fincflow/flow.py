@@ -774,14 +774,13 @@ class FlowModel:
 
     # -- backward -----------------------------------------------------------
 
-    def backward(self, n_samples=None):
+    def backward(self):
         """Accumulate gradients of mean-per-sample NLL = -(logp+logdet)/N
         into every parameter; returns the input gradient."""
         if self._cache is None:
             raise MissingCache("model backward requires a prior forward call")
         caches, h_final = self._cache
-        n = n_samples if n_samples is not None else h_final.shape[0]
-        gld = -1.0 / n
+        gld = -1.0 / h_final.shape[0]
         mean = self.prior_mean.value[None, :, None, None]
         log_sd = self.prior_log_sd.value[None, :, None, None]
         dz, dmean, dlog_sd = gaussian_logp_grads(h_final, mean, log_sd)

@@ -64,6 +64,14 @@ def read_image(path) -> np.ndarray:
     return np.ascontiguousarray(arr.transpose(2, 0, 1))
 
 
+def pixels_u8(arr: np.ndarray, path) -> np.ndarray:
+    """``arr``, read from ``path``, as uint8 pixels; every value must be an
+    integer in [0, 255]."""
+    if np.any(arr < 0) or np.any(arr > 255) or np.any(arr != np.round(arr)):
+        raise BadFormat(f"{path}: pixel values must be integers in [0, 255]")
+    return arr.astype(np.uint8)
+
+
 def write_image(path, img: np.ndarray) -> None:
     """Write a (C, H, W) uint8 array; C=1 becomes P5, C=3 becomes P6."""
     img = np.asarray(img)

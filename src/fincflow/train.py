@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import BadFormat, BadMagic, DimsMismatch, NonFiniteLoss, ShapeMismatch
 from .flow import FlowModel, ModelConfig
-from .images import read_image
+from .images import pixels_u8, read_image
 from .invconv import MaskedKernel, apply_anchor_mask, mask_anchor_gradient
 from .tensor import read_tensor
 
@@ -158,10 +158,7 @@ def dataset_load(path) -> Dataset:
                 raise DimsMismatch(f"{p}: shape {img.shape} != {dims}")
         return Dataset(np.stack(imgs))
     if path.suffix == ".ften":
-        arr = read_tensor(path)
-        if np.any(arr < 0) or np.any(arr > 255) or np.any(arr != np.round(arr)):
-            raise BadFormat(f"{path}: archive values must be integers in [0, 255]")
-        return Dataset(arr.astype(np.uint8))
+        return Dataset(pixels_u8(read_tensor(path), path))
     raise BadFormat(f"{path}: expected a directory or an .ften archive")
 
 

@@ -1,8 +1,14 @@
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fincflow
 from fincflow.bench import (
     CSV_HEADER,
     BenchReport,
@@ -99,6 +105,73 @@ def test_cli_check_exit_codes():
     assert main(["check", "--size", "8", "--kernel-size", "0"]) == 1
     assert main(["check", "--size", "-2"]) == 1
     assert main(["check", "--size", "8", "--kernel-size", "-1"]) == 1
+
+
+_CHECK_ROWS = (
+    ("round trip f64", "1.000e-09"),
+    ("round trip f32", "1.000e-04"),
+    ("triple oracle agreement", "1.000e-09"),
+    ("triangular, unit diagonal, det=1", "0.000e+00"),
+    ("barrier phases == H+W-1", "0.000e+00"),
+    ("per-element madds <= k^2*C", "0.000e+00"),
+    ("worker-count determinism", "0.000e+00"),
+    ("unit round trip f64", "1.000e-09"),
+    ("flow gradient check", "1.000e-03"),
+)
+_CHECK_LINE = re.compile(
+    r"(PASS|FAIL)  (.{34}) max_err=\S+  limit=(\S+)(?:  \((.*)\))?"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, failing, oracle",
+    [
+        (["--size", "8", "--channels", "4", "--workers", "2"], 0, set(), None),
+        (
+            ["--size", "8", "--inject", "anchor"],
+            1,
+            {
+                "round trip f64",
+                "round trip f32",
+                "triple oracle agreement",
+                "triangular, unit diagonal, det=1",
+            },
+            None,
+        ),
+        (
+            ["--size", "64", "--channels", "2", "--kernel-size", "2"],
+            0,
+            set(),
+            ("wavefront vs reference", "dense skipped: H*W*C=8192 > 4096"),
+        ),
+        (["--size", "8", "--channels", "3", "--kernel-size", "5", "--seed", "3"], 0, set(), None),
+    ],
+)
+def test_cli_check_output_pinned(capsys, argv, exit_code, failing, oracle):
+    """Every line's order, name, limit, status and note, the summary line
+    and the exit code of ``fincflow check``; max_err values are left free,
+    since their last digit can follow the BLAS build."""
+    rows = [list(row) + [None] for row in _CHECK_ROWS]
+    if oracle is not None:
+        rows[2][0], rows[2][2] = oracle
+    assert main(["check", *argv]) == exit_code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(rows) + 1
+    for line, (name, limit, note) in zip(lines, rows):
+        m = _CHECK_LINE.fullmatch(line)
+        assert m is not None, line
+        status = "FAIL" if name in failing else "PASS"
+        assert (m[1], m[2].rstrip(), m[3], m[4]) == (status, name, limit, note)
+    assert lines[-1] == f"{len(rows) - len(failing)}/{len(rows)} checks passed"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy serves only bench's t-quantiles; the CLI must not load it at
+    start-up."""
+    code = "import sys, fincflow.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"
+    src = str(Path(fincflow.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_cli_train_sample_reconstruct_round_trip(tmp_path, capsys):

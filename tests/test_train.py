@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import struct
 
 import numpy as np
@@ -169,6 +170,20 @@ def test_dataset_load_ften_rejects_nonintegral(tmp_path):
     write_tensor(tmp_path / "bad.ften", np.full((1, 1, 2, 2), 0.5, np.float32))
     with pytest.raises(BadFormat):
         dataset_load(tmp_path / "bad.ften")
+
+
+@pytest.mark.parametrize("value", [0.5, -1.0, 256.0, np.nan])
+def test_ften_pixels_checked_alike_by_dataset_and_reconstruct(tmp_path, value):
+    """The training archive loader and the reconstruct command's image
+    reader share one pixel check, whose error names the file."""
+    from fincflow.cli import _read_any_image
+
+    path = tmp_path / "bad.ften"
+    write_tensor(path, np.full((1, 1, 2, 2), value, np.float32))
+    want = re.escape(f"{path}: pixel values must be integers in [0, 255]")
+    for load in (dataset_load, _read_any_image):
+        with pytest.raises(BadFormat, match=want):
+            load(str(path))
 
 
 def test_pgm_round_trip(tmp_path):
