@@ -41,7 +41,7 @@ def main():
 
     ratios = measure_scaling(sizes=tuple(sizes[-3:]), c=args.channels,
                              k=args.kernel_size, workers=args.workers)["ratios"]
-    print("growth ratios (medians of 10 runs):")
+    print("growth ratios (medians over 10 rounds):")
     for strategy, pairs in ratios.items():
         for pair, value in pairs.items():
             print(f"  {strategy:<9} {pair}: {value:.2f}x")

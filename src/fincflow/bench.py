@@ -100,24 +100,15 @@ class BenchReport:
         )
 
 
-def _enumerate_madds(h: int, w: int, k: int, c: int, batch: int, groups: int) -> int:
-    """In-bounds non-anchor taps over all output elements (the same count
-    the wavefront instrumentation gathers)."""
-    per_pixel = 0
-    for i in range(h):
-        for j in range(w):
-            per_pixel += min(k, i + 1) * min(k, j + 1) - 1
-    return per_pixel * c * c * batch * groups
-
-
 def _timed(fn) -> float:
     t0 = time.perf_counter_ns()
     fn()
     return (time.perf_counter_ns() - t0) / 1e9
 
 
-def _bench(n, c, k, batch, workers, strategy, seed, dtype, runs, unit: bool) -> BenchReport:
-    """Time one inversion strategy on an untrained random block or unit.
+def _prepare(n, c, k, batch, workers, strategy, seed, dtype, unit: bool):
+    """One inversion strategy on an untrained random block or unit: its
+    report, with phases and madds but no runs yet, and the call to time.
     A block is a one-group problem; the reference strategy inverts the
     groups one after another."""
     require_workers(workers)
@@ -130,6 +121,12 @@ def _bench(n, c, k, batch, workers, strategy, seed, dtype, runs, unit: bool) -> 
         blocks, invert, prefix = [target], pcb_invert_wavefront, ""
     y = rng.normal(size=(batch, c, n, n)).astype(dtype)
     report = BenchReport(n, c, k, batch, workers, prefix + strategy)
+
+    def wavefront_stats():
+        st = InvertStats()
+        invert(y, target, workers=workers, stats=st)
+        return st
+
     if strategy == "reference":
 
         def fn():
@@ -137,11 +134,11 @@ def _bench(n, c, k, batch, workers, strategy, seed, dtype, runs, unit: bool) -> 
                 pcb_invert_reference(q, blk)
 
         report.phases = n * n  # sequential raster steps per image
-        report.madds = _enumerate_madds(n, n, k, blocks[0].channels, batch, len(blocks))
+        # the raster solve does the wavefront's multiply-adds in another order
+        report.madds = wavefront_stats().madds
     elif strategy == "wavefront":
         fn = lambda: invert(y, target, workers=workers)
-        st = InvertStats()
-        invert(y, target, workers=workers, stats=st)
+        st = wavefront_stats()
         report.phases = st.phases
         report.madds = st.madds
     elif strategy == "dense" and not unit:
@@ -153,6 +150,11 @@ def _bench(n, c, k, batch, workers, strategy, seed, dtype, runs, unit: bool) -> 
         report.madds = batch * side * (side - 1) // 2
     else:
         raise FincError(f"unknown {'unit ' if unit else ''}strategy {strategy!r}")
+    return report, fn
+
+
+def _bench(n, c, k, batch, workers, strategy, seed, dtype, runs, unit: bool) -> BenchReport:
+    report, fn = _prepare(n, c, k, batch, workers, strategy, seed, dtype, unit)
     report.runs_s = [_timed(fn) for _ in range(runs)]
     return report
 
@@ -212,24 +214,33 @@ def measure_scaling(
     seed: int = 0,
 ) -> dict:
     """Median wall times of the sequential raster inversion vs the
-    wavefront across doubling sizes, plus growth ratios.  Each size and
-    strategy is one ``bench_pcb`` call of runs+1 runs, the first discarded.
+    wavefront across doubling sizes, plus growth ratios.  Each of runs+1
+    rounds (the first discarded) times every size and strategy once; a
+    ratio is the median over rounds of one round's ratio of times, so a
+    change of the host's clock speed between rounds slows both sides alike.
 
     The wavefront solves each of its H+W-1 anti-diagonals with one
     batched gather and contraction; ``workers`` is passed through for
     API stability and does not change its result."""
-    medians: dict[str, dict[int, float]] = {"reference": {}, "wavefront": {}}
-    for n in sizes:
-        for strategy in medians:
-            report = bench_pcb(n, c, k, batch, workers, strategy, seed, runs=runs + 1)
-            medians[strategy][n] = float(np.median(report.kept))
-    ratios = {}
-    for strategy in medians:
-        ratios[strategy] = {
-            f"{a}->{b}": medians[strategy][b] / medians[strategy][a]
-            for a, b in zip(sizes[:-1], sizes[1:])
-        }
-    return {"medians": medians, "ratios": ratios, "workers": workers}
+    strategies = ("reference", "wavefront")
+    cases = [
+        _prepare(n, c, k, batch, workers, s, seed, np.float32, unit=False)
+        for s in strategies
+        for n in sizes
+    ]
+    for _ in range(runs + 1):
+        for report, fn in cases:
+            report.runs_s.append(_timed(fn))
+    kept = {(r.strategy, r.n): r.kept for r, _ in cases}
+    pairs = list(zip(sizes[:-1], sizes[1:]))
+    return {
+        "medians": {s: {n: float(np.median(kept[s, n])) for n in sizes} for s in strategies},
+        "ratios": {
+            s: {f"{a}->{b}": float(np.median(kept[s, b] / kept[s, a])) for a, b in pairs}
+            for s in strategies
+        },
+        "workers": workers,
+    }
 
 
 # ---------------------------------------------------------------------------

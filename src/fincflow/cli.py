@@ -311,6 +311,8 @@ def cmd_bench(args) -> int:
     _require_positive(args, "batch", "channels", "kernel_size")
     sizes = _parse_sizes(args.sizes)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not strategies:
+        raise BadFormat("no bench strategies given")
     reports = []
     lines = [bench_mod.CSV_HEADER]
     for n in sizes:
@@ -334,6 +336,8 @@ def cmd_bench(args) -> int:
                 continue
             reports.append(rep)
             lines.append(rep.csv_row())
+    if not reports:
+        raise FincError("every bench row was skipped; nothing was measured")
     text = "\n".join(lines) + "\n"
     if args.csv:
         Path(args.csv).parent.mkdir(parents=True, exist_ok=True)

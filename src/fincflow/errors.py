@@ -13,16 +13,20 @@ class IndivisibleChannels(FincError):
     """Channel count is not divisible by the requested number of parts."""
 
 
-class BadMagic(FincError):
-    """Tensor file does not start with the expected magic bytes."""
+class BadFormat(FincError):
+    """Image, dataset, tensor or checkpoint file is malformed."""
 
 
-class TruncatedFile(FincError):
-    """Tensor file ends before the declared payload is complete."""
+class BadMagic(BadFormat):
+    """Tensor or checkpoint file does not start with the expected magic."""
 
 
-class UnsupportedDtype(FincError):
-    """Tensor file declares a dtype code this library does not know."""
+class TruncatedFile(BadFormat):
+    """Tensor record ends before its header or declared payload does."""
+
+
+class UnsupportedDtype(BadFormat):
+    """Tensor record declares a dtype code this library does not know."""
 
 
 class TooLargeForDense(FincError):
@@ -55,10 +59,6 @@ class MissingCache(FincError):
 
 class NonFiniteLoss(FincError):
     """Loss evaluated to NaN or infinity."""
-
-
-class BadFormat(FincError):
-    """Image, dataset, or checkpoint file is malformed."""
 
 
 class DimsMismatch(FincError):

@@ -401,18 +401,16 @@ class Split:
     def inverse(self, x1, z):
         return np.concatenate([x1, z], axis=1)
 
-    def sample_z(self, x1, temperature, rng):
+    def sample_z(self, x1, temperature, noise):
         """The dropped half for the retained half ``x1``: its prior mean plus
-        ``temperature`` times the prior's std times standard-normal noise.
-        ``rng`` is a Generator, or that noise already drawn in the latent's
-        shape; it is not used at temperature 0."""
+        ``temperature`` times the prior's std times ``noise``, standard-normal
+        noise already drawn in the latent's shape (None at temperature 0)."""
         mean, log_sd = self._prior_params(x1)
         if temperature == 0.0:
             return mean.astype(x1.dtype)
-        eps = rng if isinstance(rng, np.ndarray) else rng.standard_normal(mean.shape)
-        if eps.shape != mean.shape:
-            raise ShapeMismatch(f"noise shape {eps.shape}, expected {mean.shape}")
-        eps = eps.astype(x1.dtype)
+        if noise.shape != mean.shape:
+            raise ShapeMismatch(f"noise shape {noise.shape}, expected {mean.shape}")
+        eps = noise.astype(x1.dtype)
         return (mean + np.exp(log_sd) * temperature * eps).astype(x1.dtype)
 
     def backward(self, g_x1, g_logp, cache):

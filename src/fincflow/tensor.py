@@ -1,6 +1,7 @@
 """Rank-4 (N, C, H, W) tensor helpers: oriented padding, flips, channel
 split/concat, the one convolution primitive (``correlate`` and its kernel
-gradient ``correlate_wgrad``) and the ``.ften`` binary tensor format.
+gradient ``correlate_wgrad``) and the tensor record codec, which writes
+and reads the body of a ``.ften`` file and each checkpoint parameter.
 
 ``correlate`` is BLAS matmuls over the flattened padded plane.  It picks
 its layout from the channel counts of each call: im2col (one matmul per
@@ -29,8 +30,9 @@ from .errors import (
 )
 
 MAGIC = b"FINCTEN\x00"
-DTYPE_CODES = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
-CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
+CODE_DTYPES = {1: np.dtype(np.float32), 2: np.dtype(np.float64)}  # stored little-endian
+DTYPE_CODES = {dtype: code for code, dtype in CODE_DTYPES.items()}
+RECORD_HEADER = struct.Struct("<B4x4I")  # dtype code, 4 reserved zero bytes, dims
 
 HEIGHT_AXIS = 2
 WIDTH_AXIS = 3
@@ -210,40 +212,50 @@ def correlate_wgrad(gy: np.ndarray, xp: np.ndarray, k: int) -> np.ndarray:
     return g
 
 
-def write_tensor(path, x: np.ndarray) -> None:
-    """Write ``x`` to ``path`` in the .ften format (lossless)."""
-    x = require_nchw(x)
+def pack_record(x: np.ndarray) -> bytes:
+    """The tensor record of a float32/float64 array of rank <= 4: its header
+    (the shape padded with leading 1s) and its little-endian elements."""
     code = DTYPE_CODES[x.dtype]
+    dims = (1,) * (4 - x.ndim) + x.shape
+    wire = np.ascontiguousarray(x, CODE_DTYPES[code].newbyteorder("<"))
+    return RECORD_HEADER.pack(code, *dims) + wire.tobytes()
+
+
+def unpack_record(data: bytes, pos: int, where) -> tuple[np.ndarray, int]:
+    """Parse the tensor record at ``data[pos:]``: a native-endian
+    C-contiguous copy of its (d0, d1, d2, d3) array, and the offset just
+    past it.  Errors name ``where``."""
+    end = pos + RECORD_HEADER.size
+    if len(data) < end:
+        raise TruncatedFile(f"{where}: header truncated")
+    code, *dims = RECORD_HEADER.unpack_from(data, pos)
+    if code not in CODE_DTYPES:
+        raise UnsupportedDtype(f"{where}: unknown dtype code {code}")
+    if any(d < 1 for d in dims):
+        raise TruncatedFile(f"{where}: empty dimension in header {tuple(dims)}")
+    dtype = CODE_DTYPES[code]
+    count = math.prod(dims)  # exact: an int64 product of four u32 dims can wrap
+    payload = data[end : end + count * dtype.itemsize]
+    if len(payload) != count * dtype.itemsize:
+        raise TruncatedFile(
+            f"{where}: expected {count} elements, found {len(payload) // dtype.itemsize}"
+        )
+    arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).reshape(dims)
+    return arr.astype(dtype, order="C"), end + len(payload)
+
+
+def write_tensor(path, x: np.ndarray) -> None:
+    """Write ``x`` to ``path`` in the .ften format (lossless): the magic,
+    then its tensor record."""
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<B", code))
-        fh.write(b"\x00" * 4)
-        fh.write(struct.pack("<4I", *x.shape))
-        fh.write(np.ascontiguousarray(x, dtype=CODE_DTYPES[code]).tobytes())
+        fh.write(MAGIC + pack_record(require_nchw(x)))
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a .ften file back into a contiguous (N,C,H,W) array."""
+    """Read a .ften file back into a contiguous (N,C,H,W) array; bytes after
+    the record are ignored."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
+    if data[: len(MAGIC)] != MAGIC:
         raise BadMagic(f"{path}: not a .ften file")
-    header_end = len(MAGIC) + 1 + 4 + 16
-    if len(data) < header_end:
-        raise TruncatedFile(f"{path}: header truncated")
-    code = data[len(MAGIC)]
-    if code not in CODE_DTYPES:
-        raise UnsupportedDtype(f"{path}: unknown dtype code {code}")
-    dims = struct.unpack("<4I", data[len(MAGIC) + 5 : header_end])
-    if any(d < 1 for d in dims):
-        raise TruncatedFile(f"{path}: empty dimension in header {dims}")
-    dtype = CODE_DTYPES[code]
-    count = math.prod(dims)  # exact: an int64 product of four u32 dims can wrap
-    payload = data[header_end:]
-    if len(payload) < count * dtype.itemsize:
-        raise TruncatedFile(
-            f"{path}: expected {count} elements, found {len(payload) // dtype.itemsize}"
-        )
-    arr = np.frombuffer(payload[: count * dtype.itemsize], dtype=dtype).reshape(dims)
-    native = np.float32 if code == 1 else np.float64
-    return np.array(arr, dtype=native, order="C")
+    return unpack_record(data, len(MAGIC), path)[0]

@@ -14,7 +14,7 @@ from .errors import BadFormat, BadMagic, DimsMismatch, NonFiniteLoss, ShapeMisma
 from .flow import FlowModel, ModelConfig
 from .images import pixels_u8, read_image
 from .invconv import MaskedKernel, apply_anchor_mask, mask_anchor_gradient
-from .tensor import read_tensor
+from .tensor import CODE_DTYPES, DTYPE_CODES, pack_record, read_tensor, unpack_record
 
 LOG2_E = 1.0 / math.log(2.0)
 
@@ -265,44 +265,22 @@ def train(model: FlowModel, dataset: Dataset, cfg: TrainConfig, metrics_out=None
 
 CKPT_MAGIC = b"FINCCKPT"
 CKPT_VERSION = 1
-_DTYPE_CODE = {"f32": 1, "f64": 2}
-_CODE_DTYPE = {1: "f32", 2: "f64"}
-
-
-def _param_payload(value: np.ndarray) -> bytes:
-    """Serialize one array in the .ften body layout (dtype byte, four
-    reserved zeros, four u32 dims padded with leading 1s, elements)."""
-    shape = (1,) * (4 - value.ndim) + value.shape
-    code = 1 if value.dtype == np.float32 else 2
-    wire = np.ascontiguousarray(value.reshape(shape), dtype="<f4" if code == 1 else "<f8")
-    return struct.pack("<B", code) + b"\x00" * 4 + struct.pack("<4I", *shape) + wire.tobytes()
+# the header after the version: the config block in this order, the dtype
+# code (three zero bytes of padding) and the record count
+_CONFIG_FIELDS = ("levels", "steps", "channels", "height", "width", "kernel_size", "hidden")
+_HEADER = struct.Struct("<7IB3xI")
 
 
 def checkpoint_save(model: FlowModel, path) -> None:
-    cfg = model.config
+    """Header, then each parameter as its name and its tensor record."""
+    config = [getattr(model.config, f) for f in _CONFIG_FIELDS]
+    params = list(model.named_params())
     with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(
-            struct.pack(
-                "<7I",
-                cfg.levels,
-                cfg.steps,
-                cfg.channels,
-                cfg.height,
-                cfg.width,
-                cfg.kernel_size,
-                cfg.hidden,
-            )
-        )
-        fh.write(struct.pack("<B", _DTYPE_CODE[cfg.dtype]) + b"\x00" * 3)
-        params = list(model.named_params())
-        fh.write(struct.pack("<I", len(params)))
+        fh.write(CKPT_MAGIC + struct.pack("<I", CKPT_VERSION))
+        fh.write(_HEADER.pack(*config, DTYPE_CODES[np.dtype(model.dtype)], len(params)))
         for name, p in params:
             raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(_param_payload(p.value))
+            fh.write(struct.pack("<I", len(raw)) + raw + pack_record(p.value))
 
 
 def checkpoint_load(path) -> FlowModel:
@@ -310,10 +288,12 @@ def checkpoint_load(path) -> FlowModel:
 
     The file must hold each of the model's parameters exactly once and
     nothing after the last record.  Any malformed file raises
-    ``BadFormat``, or ``DimsMismatch`` for a record of the wrong shape or
-    dtype, or ``ShapeMismatch`` for a header that names an invalid
-    ``ModelConfig``.  A header whose largest parameter would not fit in the
-    file is refused before the model is allocated.
+    ``BadFormat`` (a record that ``unpack_record`` cannot parse, its
+    ``TruncatedFile`` or ``UnsupportedDtype`` subclass), or
+    ``DimsMismatch`` for a record of the wrong shape or dtype, or
+    ``ShapeMismatch`` for a header that names an invalid ``ModelConfig``.
+    A header whose largest parameter would not fit in the file is refused
+    before the model is allocated.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -323,23 +303,20 @@ def checkpoint_load(path) -> FlowModel:
         (version,) = struct.unpack_from("<I", data, 8)
         if version != CKPT_VERSION:
             raise BadFormat(f"{path}: unsupported checkpoint version {version}")
-        *dims_cfg, code, count = struct.unpack_from("<7IB3xI", data, 12)
-        pos = 12 + 36
-        if code not in _CODE_DTYPE:
+        *config, code, count = _HEADER.unpack_from(data, 12)
+        pos = 12 + _HEADER.size
+        if code not in CODE_DTYPES:
             raise BadFormat(f"{path}: unknown dtype code {code}")
-        levels, steps, channels, height, width, ksize, hidden = dims_cfg
-        cfg = ModelConfig(
-            channels, height, width, levels, steps, ksize, hidden, _CODE_DTYPE[code]
-        )
+        dtype = CODE_DTYPES[code]
+        cfg = ModelConfig(**dict(zip(_CONFIG_FIELDS, config)), dtype=f"f{8 * dtype.itemsize}")
         cfg.validate()
         # Before allocating, the payload must hold one record (>= 25 bytes)
         # per flow step and the largest parameter: a coupling 1x1 conv
         # (hidden^2), or at the last level (c = channels * 2^(L+1) channels)
         # the Inv1x1 (c^2) or a unit kernel ((c/4)^2 k^2).
-        c_last = channels * 2 ** (levels + 1)
-        largest = max(hidden**2, c_last**2, (c_last // 4) ** 2 * ksize**2)
-        dtype = np.dtype("<f4" if code == 1 else "<f8")
-        need = max(largest * dtype.itemsize, 25 * levels * steps)
+        c_last = cfg.channels * 2 ** (cfg.levels + 1)
+        largest = max(cfg.hidden**2, c_last**2, (c_last // 4) ** 2 * cfg.kernel_size**2)
+        need = max(largest * dtype.itemsize, 25 * cfg.levels * cfg.steps)
         if need > len(data) - pos:
             raise BadFormat(
                 f"{path}: header implies at least {need} payload bytes, "
@@ -357,27 +334,21 @@ def checkpoint_load(path) -> FlowModel:
             pos += 4
             name = data[pos : pos + name_len].decode("utf-8")
             pos += name_len
-            pcode, *dims = struct.unpack_from("<B4x4I", data, pos)
-            pos += 21
             if name not in by_name:
                 raise BadFormat(f"{path}: unknown parameter {name}")
             if name in loaded:
                 raise BadFormat(f"{path}: parameter {name} appears twice")
             loaded.add(name)
+            arr, pos = unpack_record(data, pos, f"{path}: parameter {name}")
             target = by_name[name]
             shape = target.value.shape
-            # dims as _param_payload writes them: the shape padded with leading 1s
-            if tuple(dims) != (1,) * (4 - len(shape)) + shape or pcode != code:
+            # pack_record pads the shape with leading 1s
+            if arr.shape != (1,) * (4 - len(shape)) + shape or arr.dtype != model.dtype:
                 raise DimsMismatch(
-                    f"{path}: parameter {name} has dims {tuple(dims)} and dtype code "
-                    f"{pcode}, the model needs {shape} and {code}"
+                    f"{path}: parameter {name} has dims {arr.shape} and dtype {arr.dtype}, "
+                    f"the model needs {shape} and {np.dtype(model.dtype)}"
                 )
-            payload = data[pos : pos + target.value.size * dtype.itemsize]
-            if len(payload) != target.value.size * dtype.itemsize:
-                raise BadFormat(f"{path}: truncated parameter record {name}")
-            pos += len(payload)
-            arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
-            target.value = np.array(arr, dtype=model.dtype)
+            target.value = arr.reshape(shape)
             target.grad = np.zeros_like(target.value)
     except (struct.error, UnicodeDecodeError) as exc:
         raise BadFormat(f"{path}: truncated or corrupt checkpoint ({exc})") from exc

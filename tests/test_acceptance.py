@@ -2,11 +2,9 @@
 tolerance, printing one pass/fail line (run with ``pytest -v -s``)."""
 
 import math
-import os
 import time
 
 import numpy as np
-import pytest
 
 from fincflow.bench import BenchReport, bench_pcb, measure_scaling
 from fincflow.flow import FlowModel, ModelConfig, Squeeze
@@ -267,14 +265,10 @@ def test_training_progress_and_mask_preservation():
 
 
 def test_scaling_evidence():
-    """On >= 4 cores: single-worker raster time grows >= 3.5x per size
-    doubling while the 8-worker wavefront grows <= 3.5x (medians of 10
-    runs, n in {32->64, 64->128}); skipped with notice otherwise."""
-    cores = os.cpu_count() or 1
-    if cores < 4:
-        report_line = f"scaling evidence: SKIPPED ({cores} cores < 4)"
-        print(f"[ACCEPTANCE] {report_line}")
-        pytest.skip(report_line)
+    """The sequential raster time grows >= 3.5x per size doubling while
+    the wavefront, one vectorised solve per anti-diagonal, grows <= 3.5x
+    (each ratio the median over 10 rounds, n in {32->64, 64->128}).
+    Single-threaded, so it runs on any core count."""
     out = measure_scaling(sizes=(32, 64, 128), c=4, k=3, workers=8, runs=10, seed=0)
     for pair, ratio in out["ratios"]["reference"].items():
         assert ratio >= 3.5, ("reference", pair, ratio)

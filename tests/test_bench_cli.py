@@ -407,10 +407,36 @@ def test_cli_bench_dense_refused_above_cap(tmp_path, capsys):
         ["bench", "--sizes", "64", "--channels", "2", "--strategies", "dense",
          "--workers", "1"]
     )
-    assert rc == 0
+    # every row was skipped, so nothing was measured: an error, and no CSV
+    assert rc == 1
     captured = capsys.readouterr()
-    assert "dense" in captured.err
-    assert len(captured.out.strip().splitlines()) == 1  # header only
+    assert "dense" in captured.err and "error:" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_bench_rejects_empty_strategies_and_all_skipped(capsys):
+    assert main(["bench", "--sizes", "8", "--strategies", ",,"]) == 1
+    captured = capsys.readouterr()
+    assert "error: no bench strategies given" in captured.err and captured.out == ""
+    assert main(["bench", "--sizes", "8", "--target", "unit", "--strategies", "dense"]) == 1
+    captured = capsys.readouterr()
+    assert "dense strategy not defined for units" in captured.err
+    assert "error: every bench row was skipped" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "target,madds", [("pcb", {8: 12064, 16: 56608}), ("unit", {8: 3016, 16: 14152})]
+)
+def test_cli_bench_reference_madds_match_wavefront(capsys, target, madds):
+    """The reference rows report the wavefront's multiply-add count:
+    in-bounds non-anchor taps, sum over pixels (i, j) of
+    min(k, i+1) * min(k, j+1) - 1, times C_block^2 * batch * blocks."""
+    args = ["bench", "--target", target, "--sizes", "8,16", "--channels", "4",
+            "--batch", "2", "--strategies", "reference,wavefront"]
+    assert main(args) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    got = {(int(r[0]), r[5].removeprefix("unit-")): int(r[10]) for r in rows}
+    assert got == {(n, s): m for n, m in madds.items() for s in ("reference", "wavefront")}
 
 
 def test_cli_bench_rejects_bad_sizes(capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fincflow.errors import (
+    BadFormat,
     BadMagic,
     IndivisibleChannels,
     ShapeMismatch,
@@ -17,9 +18,11 @@ from fincflow.tensor import (
     correlate,
     correlate_wgrad,
     flip,
+    pack_record,
     pad_oriented,
     read_tensor,
     require_nchw,
+    unpack_record,
     write_tensor,
 )
 
@@ -168,6 +171,46 @@ def test_ften_round_trip(tmp_path, dtype):
     back = read_tensor(path)
     assert back.dtype == x.dtype
     assert back.tobytes() == x.tobytes()
+
+
+# (1, 1, 2, 3) arange - 2.5: magic, dtype code, reserved bytes, dims, elements
+FTEN_GOLDEN = {
+    np.float32: "46494e4354454e00" "01" "00000000"
+    "01000000010000000200000003000000"
+    "000020c00000c0bf000000bf0000003f0000c03f00002040",
+    np.float64: "46494e4354454e00" "02" "00000000"
+    "01000000010000000200000003000000"
+    "00000000000004c0000000000000f8bf000000000000e0bf000000000000e03f"
+    "000000000000f83f0000000000000440",
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ften_golden_bytes(tmp_path, dtype):
+    x = np.arange(6, dtype=dtype).reshape(1, 1, 2, 3) - 2.5
+    path = tmp_path / "g.ften"
+    write_tensor(path, x)
+    golden = bytes.fromhex(FTEN_GOLDEN[dtype])
+    assert path.read_bytes() == golden
+    assert pack_record(x) == golden[8:]
+    path.write_bytes(golden + b"trailing bytes are ignored")
+    assert read_tensor(path).tobytes() == x.tobytes()
+    arr, end = unpack_record(golden, 8, "golden")
+    assert end == len(golden) and arr.tobytes() == x.tobytes()
+    assert arr.dtype is np.dtype(dtype)  # numpy's own native dtype, not an equal copy
+
+
+def test_tensor_record_errors_are_bad_format():
+    record = pack_record(np.ones((2, 3), np.float32))
+    assert record[:21] == bytes([1, 0, 0, 0, 0]) + np.array([1, 1, 2, 3], "<u4").tobytes()
+    with pytest.raises(TruncatedFile, match="where: header truncated"):
+        unpack_record(record[:20], 0, "where")
+    with pytest.raises(TruncatedFile, match="where: expected 6 elements, found 5"):
+        unpack_record(record[:-1], 0, "where")
+    with pytest.raises(UnsupportedDtype, match="where: unknown dtype code 3"):
+        unpack_record(b"\x03" + record[1:], 0, "where")
+    for cls in (BadMagic, TruncatedFile, UnsupportedDtype):
+        assert issubclass(cls, BadFormat)
 
 
 def test_ften_bad_magic(tmp_path):

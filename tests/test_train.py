@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import re
@@ -332,6 +333,60 @@ def test_checkpoint_resume_deterministic(tmp_path):
         loaded = checkpoint_load(path)
         metrics.append(train(loaded, ds, TrainConfig(batch_size=16, epochs=2, seed=18)))
     assert metrics[0] == metrics[1]
+
+
+def arange_model(dtype):
+    """L=1, K=1 model whose every parameter is an arange ramp."""
+    cfg = ModelConfig(4, 4, 4, levels=1, steps=1, kernel_size=3, hidden=4, dtype=dtype)
+    model = FlowModel(cfg, identity_init=True, data_init=False)
+    for i, (_, p) in enumerate(model.named_params()):
+        ramp = (np.arange(p.value.size) + i) / 8 - 1
+        p.value = ramp.reshape(p.value.shape).astype(model.dtype)
+    return model
+
+
+# sha256 and length of arange_model's checkpoint: files already written
+# must keep loading, so these bytes never change
+CKPT_GOLDEN = {
+    "f32": ("48c75042ae0b562d774476533bb2276b89b0e77a34858a41a9d7dedc8291ce35", 7995),
+    "f64": ("be2f70b51f96eb669d75df54f644c9f5048b8b8c4a902bd34e4c1848e7d69aca", 15195),
+}
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_checkpoint_golden_bytes(tmp_path, dtype):
+    model = arange_model(dtype)
+    path = tmp_path / "golden.ckpt"
+    checkpoint_save(model, path)
+    data = path.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == CKPT_GOLDEN[dtype]
+    loaded = checkpoint_load(path)
+    for (name, p), (name_back, p_back) in zip(
+        model.named_params(), loaded.named_params(), strict=True
+    ):
+        assert name == name_back and p.value.dtype == p_back.value.dtype
+        assert p.value.tobytes() == p_back.value.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_checkpoint_records_are_ften_bodies(tmp_path, dtype):
+    """Each parameter record is the .ften file of the parameter padded to
+    rank 4 with leading 1s, minus its magic."""
+    model = arange_model(dtype)
+    path = tmp_path / "m.ckpt"
+    checkpoint_save(model, path)
+    data = path.read_bytes()
+    pos = 48
+    for name, p in model.named_params():
+        raw = name.encode()
+        assert data[pos : pos + 4 + len(raw)] == struct.pack("<I", len(raw)) + raw
+        pos += 4 + len(raw)
+        ften = tmp_path / "p.ften"
+        write_tensor(ften, p.value.reshape((1,) * (4 - p.value.ndim) + p.value.shape))
+        body = ften.read_bytes()[8:]
+        assert data[pos : pos + len(body)] == body, name
+        pos += len(body)
+    assert pos == len(data)
 
 
 def test_checkpoint_bad_magic(tmp_path):
