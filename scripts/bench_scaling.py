@@ -7,7 +7,7 @@ Writes a benchmark CSV plus a gnuplot data file."""
 import argparse
 from pathlib import Path
 
-from fincflow.bench import CSV_HEADER, bench_pcb, measure_scaling, write_gnuplot
+from fincflow.bench import CSV_HEADER, bench_invert, measure_scaling, write_gnuplot
 
 
 def main():
@@ -15,7 +15,6 @@ def main():
     ap.add_argument("--sizes", default="16,32,64,128")
     ap.add_argument("--channels", type=int, default=4)
     ap.add_argument("--kernel-size", type=int, default=3)
-    ap.add_argument("--workers", type=int, default=8)
     ap.add_argument("--out", default="out/scaling")
     args = ap.parse_args()
 
@@ -27,11 +26,7 @@ def main():
     rows = [CSV_HEADER]
     for n in sizes:
         for strategy in ("reference", "wavefront"):
-            rep = bench_pcb(
-                n, args.channels, args.kernel_size, 1,
-                args.workers if strategy == "wavefront" else 1,
-                strategy,
-            )
+            rep = bench_invert(n, args.channels, args.kernel_size, 1, strategy)
             reports.append(rep)
             rows.append(rep.csv_row())
             print(f"n={n:4d} {strategy:<9}  mean={rep.mean_s:.5f}s "
@@ -40,7 +35,7 @@ def main():
     write_gnuplot(reports, out / "curve.dat")
 
     ratios = measure_scaling(sizes=tuple(sizes[-3:]), c=args.channels,
-                             k=args.kernel_size, workers=args.workers)["ratios"]
+                             k=args.kernel_size)["ratios"]
     print("growth ratios (medians over 10 rounds):")
     for strategy, pairs in ratios.items():
         for pair, value in pairs.items():

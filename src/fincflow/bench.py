@@ -30,12 +30,12 @@ from .invconv import (
     pcb_invert_wavefront,
     random_masked_kernel,
     random_unit,
-    require_workers,
     unit_forward,
     unit_invert,
 )
 from .tensor import Orientation
 
+# Every strategy runs on the calling thread, so the workers column always reads 1.
 CSV_HEADER = "n,c,k,batch,workers,strategy,mean_s,std_s,ci95_s,phases,madds"
 
 RUNS_TOTAL = 11
@@ -61,7 +61,6 @@ class BenchReport:
     c: int
     k: int
     batch: int
-    workers: int
     strategy: str
     runs_s: list[float] = field(default_factory=list)  # all 11, first is warm-up
     phases: int = 0
@@ -85,12 +84,11 @@ class BenchReport:
         return ci95_half_width(self.kept)
 
     def csv_row(self) -> str:
-        return "%d,%d,%d,%d,%d,%s,%.9e,%.9e,%.9e,%d,%d" % (
+        return "%d,%d,%d,%d,1,%s,%.9e,%.9e,%.9e,%d,%d" % (
             self.n,
             self.c,
             self.k,
             self.batch,
-            self.workers,
             self.strategy,
             self.mean_s,
             self.std_s,
@@ -106,12 +104,11 @@ def _timed(fn) -> float:
     return (time.perf_counter_ns() - t0) / 1e9
 
 
-def _prepare(n, c, k, batch, workers, strategy, seed, dtype, unit: bool):
+def _prepare(n, c, k, batch, strategy, seed, dtype, unit: bool):
     """One inversion strategy on an untrained random block or unit: its
     report, with phases and madds but no runs yet, and the call to time.
     A block is a one-group problem; the reference strategy inverts the
     groups one after another."""
-    require_workers(workers)
     rng = np.random.default_rng(seed)
     if unit:
         target = random_unit(c, k, rng, dtype)
@@ -120,11 +117,11 @@ def _prepare(n, c, k, batch, workers, strategy, seed, dtype, unit: bool):
         target = random_masked_kernel(c, k, Orientation.TL, rng, dtype)
         blocks, invert, prefix = [target], pcb_invert_wavefront, ""
     y = rng.normal(size=(batch, c, n, n)).astype(dtype)
-    report = BenchReport(n, c, k, batch, workers, prefix + strategy)
+    report = BenchReport(n, c, k, batch, prefix + strategy)
 
     def wavefront_stats():
         st = InvertStats()
-        invert(y, target, workers=workers, stats=st)
+        invert(y, target, stats=st)
         return st
 
     if strategy == "reference":
@@ -137,7 +134,7 @@ def _prepare(n, c, k, batch, workers, strategy, seed, dtype, unit: bool):
         # the raster solve does the wavefront's multiply-adds in another order
         report.madds = wavefront_stats().madds
     elif strategy == "wavefront":
-        fn = lambda: invert(y, target, workers=workers)
+        fn = lambda: invert(y, target)
         st = wavefront_stats()
         report.phases = st.phases
         report.madds = st.madds
@@ -153,41 +150,24 @@ def _prepare(n, c, k, batch, workers, strategy, seed, dtype, unit: bool):
     return report, fn
 
 
-def _bench(n, c, k, batch, workers, strategy, seed, dtype, runs, unit: bool) -> BenchReport:
-    report, fn = _prepare(n, c, k, batch, workers, strategy, seed, dtype, unit)
+def bench_invert(
+    n: int,
+    c: int,
+    k: int,
+    batch: int,
+    strategy: str,
+    *,
+    unit: bool = False,
+    seed: int = 0,
+    dtype=np.float32,
+    runs: int = RUNS_TOTAL,
+) -> BenchReport:
+    """Time one inversion strategy on an untrained random block or, with
+    ``unit``, a four-block unit (C divisible by 4) whose reference
+    strategy inverts the blocks one after another."""
+    report, fn = _prepare(n, c, k, batch, strategy, seed, dtype, unit)
     report.runs_s = [_timed(fn) for _ in range(runs)]
     return report
-
-
-def bench_pcb(
-    n: int,
-    c: int,
-    k: int,
-    batch: int,
-    workers: int,
-    strategy: str,
-    seed: int = 0,
-    dtype=np.float32,
-    runs: int = RUNS_TOTAL,
-) -> BenchReport:
-    """Time one inversion strategy on an untrained random block."""
-    return _bench(n, c, k, batch, workers, strategy, seed, dtype, runs, unit=False)
-
-
-def bench_unit(
-    n: int,
-    c: int,
-    k: int,
-    batch: int,
-    workers: int,
-    strategy: str,
-    seed: int = 0,
-    dtype=np.float32,
-    runs: int = RUNS_TOTAL,
-) -> BenchReport:
-    """Time a whole four-block unit (C divisible by 4); the reference
-    strategy inverts the four blocks sequentially."""
-    return _bench(n, c, k, batch, workers, strategy, seed, dtype, runs, unit=True)
 
 
 def write_gnuplot(reports: list[BenchReport], path) -> None:
@@ -209,7 +189,6 @@ def measure_scaling(
     c: int = 4,
     k: int = 3,
     batch: int = 1,
-    workers: int = 8,
     runs: int = 10,
     seed: int = 0,
 ) -> dict:
@@ -218,13 +197,11 @@ def measure_scaling(
     rounds (the first discarded) times every size and strategy once; a
     ratio is the median over rounds of one round's ratio of times, so a
     change of the host's clock speed between rounds slows both sides alike.
-
     The wavefront solves each of its H+W-1 anti-diagonals with one
-    batched gather and contraction; ``workers`` is passed through for
-    API stability and does not change its result."""
+    batched gather and contraction."""
     strategies = ("reference", "wavefront")
     cases = [
-        _prepare(n, c, k, batch, workers, s, seed, np.float32, unit=False)
+        _prepare(n, c, k, batch, s, seed, np.float32, unit=False)
         for s in strategies
         for n in sizes
     ]
@@ -239,7 +216,6 @@ def measure_scaling(
             s: {f"{a}->{b}": float(np.median(kept[s, b] / kept[s, a])) for a, b in pairs}
             for s in strategies
         },
-        "workers": workers,
     }
 
 
@@ -272,7 +248,6 @@ def run_checks(
     size: int = 16,
     channels: int = 4,
     k: int = 3,
-    workers: int = 4,
     seed: int = 0,
     inject_fault: str | None = None,
 ) -> list[CheckResult]:
@@ -307,10 +282,10 @@ def run_checks(
         p.value = apply_anchor_mask(MaskedKernel(p.value, orientation)).weights
 
     def round_trip(kern, x):
-        return _max_abs(pcb_invert_wavefront(pcb_forward(x, kern), kern, workers) - x)
+        return _max_abs(pcb_invert_wavefront(pcb_forward(x, kern), kern) - x)
 
     def oracle():
-        wf = pcb_invert_wavefront(y, pcb, workers)
+        wf = pcb_invert_wavefront(y, pcb)
         ref = pcb_invert_reference(y, pcb)
         if size * size * channels > DENSE_CAP:
             note = f"dense skipped: H*W*C={size * size * channels} > {DENSE_CAP}"
@@ -328,7 +303,7 @@ def run_checks(
 
     def unit_round_trip():
         yu, _ = unit_forward(xu, unit)
-        return _max_abs(unit_invert(yu, unit, workers) - xu)
+        return _max_abs(unit_invert(yu, unit) - xu)
 
     def worker_determinism():
         # workers only matters to sample / inverse batches of more than
@@ -341,7 +316,7 @@ def run_checks(
 
     pcb32 = MaskedKernel(pcb.weights.astype(np.float32), Orientation.TL)
     st = InvertStats()
-    pcb_invert_wavefront(y, pcb, workers, stats=st)
+    pcb_invert_wavefront(y, pcb, stats=st)
     checks = (
         ("round trip f64", 1e-9, lambda: round_trip(pcb, x64)),
         ("round trip f32", 1e-4, lambda: round_trip(pcb32, x64.astype(np.float32))),

@@ -3,7 +3,8 @@
 Options can come from a ``--config FILE`` of ``key = value`` lines
 ('#' starts a comment; keys use the flag spelling with underscores).
 Command-line flags override file values; unknown keys are rejected.
-FINCFLOW_WORKERS sets the default worker count.
+FINCFLOW_WORKERS sets the default of --workers, the thread count of
+sample and reconstruct.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ def build_parser():
         "--workers",
         type=int,
         default=_default_workers(),
-        help="threads over which sample spreads its batch, in chunks of at most "
-        "32 images; other commands only check it; must be >= 1, and results "
-        "are identical for any value (default: FINCFLOW_WORKERS or 1)",
+        help="threads that run a sample or reconstruct batch through the inverse "
+        "flow, in chunks of at most 32 images; check, bench and train only "
+        "validate it; must be >= 1, and results are identical for any value "
+        "(default: FINCFLOW_WORKERS or 1)",
     )
     common.add_argument("--out", type=str, default="out")
 
@@ -278,7 +280,6 @@ def cmd_check(args) -> int:
         size=args.size,
         channels=args.channels,
         k=args.kernel_size,
-        workers=args.workers,
         seed=args.seed,
         inject_fault=args.inject,
     )
@@ -313,24 +314,19 @@ def cmd_bench(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if not strategies:
         raise BadFormat("no bench strategies given")
+    unit = args.target == "unit"
     reports = []
     lines = [bench_mod.CSV_HEADER]
     for n in sizes:
         for strategy in strategies:
+            if unit and strategy == "dense":
+                print("note: dense strategy not defined for units; skipped", file=sys.stderr)
+                continue
             try:
-                if args.target == "unit":
-                    if strategy == "dense":
-                        print("note: dense strategy not defined for units; skipped", file=sys.stderr)
-                        continue
-                    rep = bench_mod.bench_unit(
-                        n, args.channels, args.kernel_size, args.batch,
-                        args.workers, strategy, seed=args.seed,
-                    )
-                else:
-                    rep = bench_mod.bench_pcb(
-                        n, args.channels, args.kernel_size, args.batch,
-                        args.workers, strategy, seed=args.seed,
-                    )
+                rep = bench_mod.bench_invert(
+                    n, args.channels, args.kernel_size, args.batch, strategy,
+                    unit=unit, seed=args.seed,
+                )
             except TooLargeForDense as exc:
                 print(f"note: {exc}; row skipped", file=sys.stderr)
                 continue

@@ -574,6 +574,8 @@ class ModelConfig:
         return np.float32 if self.dtype == "f32" else np.float64
 
     def validate(self):
+        if self.dtype not in ("f32", "f64"):
+            raise ShapeMismatch(f"dtype must be 'f32' or 'f64', got {self.dtype!r}")
         sizes = ("channels", "height", "width", "kernel_size", "hidden", "levels", "steps")
         small = [name for name in sizes if getattr(self, name) < 1]
         if small:

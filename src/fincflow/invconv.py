@@ -17,9 +17,8 @@ into the padded plane and one into the output.  Three inverse paths:
 * ``pcb_invert_wavefront`` / ``unit_invert`` -- anti-diagonal sweep; all
   elements of a diagonal are solved together by one batched gather and
   one matrix contraction, and each diagonal reads the ones before it:
-  H+W-1 sequential phases total, shared by every block of a unit.  The
-  ``workers`` argument must be >= 1 and is kept for API and CLI
-  stability; results are identical for any value.
+  H+W-1 sequential phases total, shared by every block of a unit, all on
+  the calling thread.
 """
 
 from __future__ import annotations
@@ -469,21 +468,18 @@ def _invert(
     return x
 
 
-def require_workers(workers: int) -> None:
-    """Reject a worker count below 1; results are identical for any other."""
-    if workers < 1:
-        raise ShapeMismatch(f"workers must be >= 1, got {workers}")
+def require_workers(workers) -> None:
+    """Reject a worker count that is not an integer >= 1 (numpy integers
+    count; bools do not)."""
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ShapeMismatch(f"workers must be an integer >= 1, got {workers!r}")
 
 
 def pcb_invert_wavefront(
-    y: np.ndarray,
-    kern: MaskedKernel,
-    workers: int = 1,
-    stats: InvertStats | None = None,
+    y: np.ndarray, kern: MaskedKernel, *, stats: InvertStats | None = None
 ) -> np.ndarray:
     """Invert pcb_forward via the anti-diagonal sweep of H+W-1 phases."""
     (y,) = _operands(ShapeMismatch, [kern], y)
-    require_workers(workers)
     return _invert(y, [kern], stats)
 
 
@@ -496,5 +492,5 @@ def unit_invert(
     """Invert a whole unit: its four blocks share every phase, so the
     phase count stays H+W-1 for the whole unit."""
     (y,) = _operands(IndivisibleChannels, unit.blocks, y)
-    require_workers(workers)
+    require_workers(workers)  # no effect: kept for perfbench/run.py's workers=1
     return _invert(y, unit.blocks, stats)

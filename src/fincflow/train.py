@@ -28,7 +28,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 1
     seed: int = 0
-    bins: int = 256
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -205,7 +204,7 @@ def train_step(model: FlowModel, batch_u8: np.ndarray, cfg: TrainConfig, opt: Ad
     x = dequantize(batch_u8, rng, model.dtype)
     n = x.shape[0]
     _, logdet, logp = model.forward(x)
-    loss = nll(logp, logdet, n, dims, cfg.bins)
+    loss = nll(logp, logdet, n, dims)
     model.zero_grad()
     model.backward()
     for p, orientation in model.unit_params():
@@ -225,7 +224,7 @@ def train_step(model: FlowModel, batch_u8: np.ndarray, cfg: TrainConfig, opt: Ad
 def train(model: FlowModel, dataset: Dataset, cfg: TrainConfig, metrics_out=None):
     """Run the full loop; optionally stream CSV rows to ``metrics_out``.
 
-    Deterministic for a fixed seed, dataset, and worker count.
+    Deterministic for a fixed seed and dataset; runs on the calling thread.
     """
     if dataset.dims != (model.config.channels, model.config.height, model.config.width):
         raise DimsMismatch(

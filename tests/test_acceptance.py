@@ -6,11 +6,13 @@ import time
 
 import numpy as np
 
-from fincflow.bench import BenchReport, bench_pcb, measure_scaling
-from fincflow.flow import FlowModel, ModelConfig, Squeeze
+from fincflow.bench import BenchReport, bench_invert, measure_scaling
+from fincflow.flow import CHUNK_IMAGES, FlowModel, ModelConfig, Squeeze
 from fincflow.invconv import (
     InvertStats,
+    MaskedKernel,
     anchor_position,
+    apply_anchor_mask,
     build_conv_matrix,
     canonical_permutation,
     dense_invert,
@@ -49,7 +51,7 @@ def test_exact_inverse_round_trip():
                     for dtype in (np.float32, np.float64):
                         pcb = random_masked_kernel(c, k, orientation, rng, dtype)
                         x = rng.normal(size=(1, c, n, n)).astype(dtype)
-                        back = pcb_invert_wavefront(pcb_forward(x, pcb), pcb, workers=1)
+                        back = pcb_invert_wavefront(pcb_forward(x, pcb), pcb)
                         err = float(np.max(np.abs(back - x)))
                         worst[dtype] = max(worst[dtype], err)
                         assert err <= limit[dtype], (n, c, k, seed, dtype, err)
@@ -78,7 +80,7 @@ def test_triple_oracle_agreement():
         orientation = ORIENTATION_CYCLE[idx % 4]
         pcb = random_masked_kernel(c, k, orientation, rng)
         y = rng.normal(size=(1, c, n, n))
-        wf = pcb_invert_wavefront(y, pcb, workers=2)
+        wf = pcb_invert_wavefront(y, pcb)
         ref = pcb_invert_reference(y, pcb)
         dns = dense_invert(y, pcb)
         err = max(
@@ -118,23 +120,34 @@ def test_structural_claims():
         pcb = random_masked_kernel(c, k, Orientation.TL, rng)
         y = rng.normal(size=(1, c, h, w))
         st = InvertStats()
-        pcb_invert_wavefront(y, pcb, workers=2, stats=st)
+        pcb_invert_wavefront(y, pcb, stats=st)
         assert st.phases == h + w - 1
         assert st.max_element_madds <= k * k * c
     report("structural claims (triangular/unit-diag/det=1/logdet=0/phases/madds)")
 
 
 def test_worker_count_determinism():
-    """Wavefront results bit-identical across workers in {1,2,4,8}."""
-    rng = np.random.default_rng(11)
-    for dtype in (np.float32, np.float64):
-        for n, c, k, batch in [(16, 4, 3, 2), (32, 2, 5, 1), (8, 8, 2, 64)]:
-            pcb = random_masked_kernel(c, k, Orientation.TL, rng, dtype)
-            y = rng.normal(size=(batch, c, n, n)).astype(dtype)
-            base = pcb_invert_wavefront(y, pcb, workers=1)
+    """FlowModel.inverse and sample bit-identical across workers in
+    {1,2,4,8}, on batches that run in 2 and 3 chunks, f32 and f64."""
+    for dtype in ("f32", "f64"):
+        cfg = ModelConfig(4, 8, 8, levels=2, steps=1, hidden=8, dtype=dtype)
+        rng = np.random.default_rng(11)
+        model = FlowModel(cfg, rng, data_init=False)
+        for _, p in model.named_params():  # off the identity initialisation
+            p.value = p.value + 0.05 * rng.standard_normal(p.value.shape).astype(p.value.dtype)
+        for p, orientation in model.unit_params():
+            p.value = apply_anchor_mask(MaskedKernel(p.value, orientation)).weights
+        for batch in (CHUNK_IMAGES + 1, 2 * CHUNK_IMAGES + 1):
+            rng = np.random.default_rng(batch)
+            latents = [rng.standard_normal(s).astype(model.dtype)
+                       for s in model.latent_shapes(batch)]
+            base_inv = model.inverse(latents, workers=1)
+            base_smp = model.sample(batch, 0.7, np.random.default_rng(12), workers=1)
             for workers in (2, 4, 8):
-                other = pcb_invert_wavefront(y, pcb, workers=workers)
-                assert np.array_equal(base, other), (dtype, n, c, k, workers)
+                inv = model.inverse(latents, workers=workers)
+                smp = model.sample(batch, 0.7, np.random.default_rng(12), workers=workers)
+                assert np.array_equal(base_inv, inv), (dtype, batch, workers)
+                assert np.array_equal(base_smp, smp), (dtype, batch, workers)
     report("worker-count determinism (bit-identical, workers 1/2/4/8)")
 
 
@@ -269,7 +282,7 @@ def test_scaling_evidence():
     the wavefront, one vectorised solve per anti-diagonal, grows <= 3.5x
     (each ratio the median over 10 rounds, n in {32->64, 64->128}).
     Single-threaded, so it runs on any core count."""
-    out = measure_scaling(sizes=(32, 64, 128), c=4, k=3, workers=8, runs=10, seed=0)
+    out = measure_scaling(sizes=(32, 64, 128), c=4, k=3, runs=10, seed=0)
     for pair, ratio in out["ratios"]["reference"].items():
         assert ratio >= 3.5, ("reference", pair, ratio)
     for pair, ratio in out["ratios"]["wavefront"].items():
@@ -281,7 +294,7 @@ def test_scaling_evidence():
 def test_bench_methodology():
     """11 runs with the first discarded; mean/std/95% CI reproduce a
     recomputation from the raw per-run column to 1e-12."""
-    rep = bench_pcb(16, 4, 3, 1, 2, "wavefront", seed=3)
+    rep = bench_invert(16, 4, 3, 1, "wavefront", seed=3)
     assert len(rep.runs_s) == 11
     kept = np.asarray(rep.runs_s[1:])
     assert kept.shape == (10,)
@@ -292,6 +305,6 @@ def test_bench_methodology():
     ci = float(t.ppf(0.975, 9)) * float(np.std(kept, ddof=1)) / math.sqrt(10)
     assert abs(rep.ci95_s - ci) <= 1e-12
     # the discarded first run is still recorded, and stats ignore it
-    inflated = BenchReport(16, 4, 3, 1, 2, "wavefront", runs_s=[999.0] + list(kept))
+    inflated = BenchReport(16, 4, 3, 1, "wavefront", runs_s=[999.0] + list(kept))
     assert abs(inflated.mean_s - rep.mean_s) <= 1e-12
     report("bench methodology (11 runs, first discarded, t-based 95% CI)")

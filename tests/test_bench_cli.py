@@ -12,14 +12,13 @@ import fincflow
 from fincflow.bench import (
     CSV_HEADER,
     BenchReport,
-    bench_pcb,
-    bench_unit,
+    bench_invert,
     ci95_half_width,
     run_checks,
     write_gnuplot,
 )
 from fincflow.cli import main, parse_config_file
-from fincflow.errors import BadFormat, ShapeMismatch
+from fincflow.errors import BadFormat
 from fincflow.flow import FlowModel, ModelConfig
 from fincflow.images import read_image
 from fincflow.tensor import read_tensor
@@ -31,7 +30,7 @@ from fincflow.tensor import read_tensor
 
 def test_report_statistics_recompute():
     rng = np.random.default_rng(0)
-    rep = BenchReport(16, 4, 3, 1, 2, "wavefront", runs_s=list(rng.uniform(0.01, 0.02, 11)))
+    rep = BenchReport(16, 4, 3, 1, "wavefront", runs_s=list(rng.uniform(0.01, 0.02, 11)))
     kept = np.asarray(rep.runs_s[1:])
     assert abs(rep.mean_s - kept.mean()) < 1e-12
     assert abs(rep.std_s - kept.std(ddof=1)) < 1e-12
@@ -50,22 +49,22 @@ def test_ci_uses_t_distribution_nine_dof():
 
 
 def test_bench_pcb_runs_protocol():
-    rep = bench_pcb(8, 2, 2, 1, 1, "wavefront", runs=11)
+    rep = bench_invert(8, 2, 2, 1, "wavefront", runs=11)
     assert len(rep.runs_s) == 11
     assert rep.phases == 2 * 8 - 1
     assert rep.mean_s > 0
-    ref = bench_pcb(8, 2, 2, 1, 1, "reference", runs=11)
+    ref = bench_invert(8, 2, 2, 1, "reference", runs=11)
     assert ref.madds == rep.madds  # identical work counts for the same problem
 
 
 def test_bench_unit_phase_sharing():
-    rep = bench_unit(8, 4, 3, 1, 2, "wavefront", runs=2)
+    rep = bench_invert(8, 4, 3, 1, "wavefront", unit=True, runs=2)
     assert rep.phases == 2 * 8 - 1
     assert rep.strategy == "unit-wavefront"
 
 
 def test_gnuplot_output(tmp_path):
-    reps = [bench_pcb(8, 2, 2, 1, 1, s, runs=2) for s in ("reference", "wavefront")]
+    reps = [bench_invert(8, 2, 2, 1, s, runs=2) for s in ("reference", "wavefront")]
     path = tmp_path / "curve.dat"
     write_gnuplot(reps, path)
     text = path.read_text()
@@ -77,19 +76,19 @@ def test_gnuplot_output(tmp_path):
 
 
 def test_run_checks_all_pass():
-    results = run_checks(size=8, channels=4, k=3, workers=2, seed=0)
+    results = run_checks(size=8, channels=4, k=3, seed=0)
     for r in results:
         assert r.passed, r.line()
 
 
 def test_run_checks_fault_injection_fails_triangular():
-    results = run_checks(size=8, channels=4, k=3, workers=2, seed=0, inject_fault="anchor")
+    results = run_checks(size=8, channels=4, k=3, seed=0, inject_fault="anchor")
     by_name = {r.name: r for r in results}
     assert not by_name["triangular, unit diagonal, det=1"].passed
 
 
 def test_run_checks_dense_skip_notice():
-    results = run_checks(size=64, channels=2, k=2, workers=2, seed=0)
+    results = run_checks(size=64, channels=2, k=2, seed=0)
     names = [r.name for r in results]
     assert "triple oracle agreement" not in names
     assert any("dense skipped" in r.note for r in results)
@@ -402,6 +401,34 @@ def test_cli_bench_csv_and_caps(tmp_path, capsys):
             assert int(row[9]) == 2 * int(row[0]) - 1
 
 
+@pytest.mark.parametrize("target", ["pcb", "unit"])
+def test_cli_bench_workers_column_reads_one(capsys, target):
+    # every strategy runs on the calling thread, whatever --workers says
+    args = ["bench", "--target", target, "--sizes", "8", "--channels", "4",
+            "--strategies", "reference,wavefront", "--workers", "3"]
+    assert main(args) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert len(rows) == 2
+    assert [row[4] for row in rows] == ["1", "1"]
+
+
+def test_bench_scaling_script_smoke(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_scaling.py"
+    src = str(Path(fincflow.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, str(script), "--sizes", "8,16,32", "--out", str(tmp_path)],
+                   env=env, check=True, timeout=300, capture_output=True)
+    lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
+    assert lines[0] == CSV_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 6
+    assert all(row[4] == "1" for row in rows)
+    for row in rows:
+        if row[5] == "wavefront":
+            assert int(row[9]) == 2 * int(row[0]) - 1
+    assert (tmp_path / "curve.dat").is_file()
+
+
 def test_cli_bench_dense_refused_above_cap(tmp_path, capsys):
     rc = main(
         ["bench", "--sizes", "64", "--channels", "2", "--strategies", "dense",
@@ -517,11 +544,3 @@ def test_cli_sample_pgm_for_single_channel(tmp_path):
     img = read_image(out / "s" / "sample_000.pgm")
     assert img.shape == (1, 8, 8)
 
-
-def test_bench_rejects_workers_below_one():
-    for strategy in ("reference", "wavefront", "dense"):
-        with pytest.raises(ShapeMismatch, match="workers"):
-            bench_pcb(8, 2, 3, 1, 0, strategy, runs=1)
-    for strategy in ("reference", "wavefront"):
-        with pytest.raises(ShapeMismatch, match="workers"):
-            bench_unit(8, 4, 3, 1, 0, strategy, runs=1)

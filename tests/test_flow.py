@@ -364,6 +364,28 @@ def test_model_inverse_and_sample_reject_workers_below_one():
     assert rng.bit_generator.state == drawn_before  # refused before any latent is drawn
 
 
+@pytest.mark.parametrize("workers", [1.5, 2.0, "2", True, None])
+def test_model_inverse_and_sample_reject_non_integer_workers(workers):
+    # 40 images run in two chunks, so a float would reach the chunk pool
+    model = toy_model(seed=22, dtype="f32", levels=2, hw=8)
+    latents, _, _ = model.forward(np.zeros((40, 4, 8, 8), dtype=np.float32))
+    for n in (10, 40):
+        with pytest.raises(ShapeMismatch, match="workers"):
+            model.sample(n, workers=workers)
+    with pytest.raises(ShapeMismatch, match="workers"):
+        model.inverse(latents, workers=workers)
+    # numpy integers are worker counts
+    model.sample(40, rng=np.random.default_rng(0), workers=np.int64(2))
+    model.inverse(latents, workers=np.int32(2))
+
+
+def test_model_config_rejects_unknown_dtype():
+    with pytest.raises(ShapeMismatch, match="dtype"):
+        FlowModel(ModelConfig(4, 8, 8, 1, 1, dtype="bogus"))
+    with pytest.raises(ShapeMismatch, match="dtype"):
+        ModelConfig(4, 8, 8, 1, 1, dtype="float64").validate()
+
+
 def test_model_sample_rejects_bad_count_and_temperature_before_drawing():
     model = toy_model(seed=21, levels=2, hw=8)
     rng = np.random.default_rng(0)

@@ -157,7 +157,7 @@ def test_invert_reference_matches_dense(orientation):
 
 def test_wavefront_hand_example_and_phase_count():
     stats = InvertStats()
-    x = pcb_invert_wavefront(Y_EXAMPLE, example_pcb(), workers=2, stats=stats)
+    x = pcb_invert_wavefront(Y_EXAMPLE, example_pcb(), stats=stats)
     assert np.allclose(x, X_EXAMPLE, atol=1e-14)
     assert stats.phases == 2 + 2 - 1
 
@@ -168,7 +168,7 @@ def test_wavefront_32x32_phase_and_element_bounds():
     pcb = random_masked_kernel(c, k, Orientation.TL, rng)
     y = rng.normal(size=(1, c, 32, 32))
     stats = InvertStats()
-    pcb_invert_wavefront(y, pcb, workers=4, stats=stats)
+    pcb_invert_wavefront(y, pcb, stats=stats)
     assert stats.phases == 63
     assert stats.max_element_madds <= k * k * c
 
@@ -191,7 +191,7 @@ def test_wavefront_madds_match_enumeration(h, w, k, c):
     pcb = random_masked_kernel(c, k, Orientation.TL, rng)
     y = rng.normal(size=(2, c, h, w))
     stats = InvertStats()
-    pcb_invert_wavefront(y, pcb, workers=1, stats=stats)
+    pcb_invert_wavefront(y, pcb, stats=stats)
     assert stats.madds == madds_enumeration(h, w, k, c, n=2)
     assert stats.phases == h + w - 1
     # a unit stacks its four blocks as groups sharing every phase
@@ -208,41 +208,36 @@ def test_wavefront_matches_reference_all_orientations(orientation):
     c = 3
     pcb = random_masked_kernel(c, 3, orientation, rng)
     y = rng.normal(size=(2, c, 6, 9))
-    wf = pcb_invert_wavefront(y, pcb, workers=3)
+    wf = pcb_invert_wavefront(y, pcb)
     ref = pcb_invert_reference(y, pcb)
     assert np.max(np.abs(wf - ref)) < 1e-9
 
 
 def test_wavefront_multichunk_threading_bit_identical():
+    # a 64-image batch is one sweep on the calling thread: repeatable to
+    # the bit and an f32 round trip
     rng = np.random.default_rng(42)
     c, k = 2, 3
     pcb = random_masked_kernel(c, k, Orientation.TL, rng, np.float32)
     x = rng.normal(size=(64, c, 16, 16)).astype(np.float32)
     y = pcb_forward(x, pcb)
-    single = pcb_invert_wavefront(y, pcb, workers=1)
-    multi = pcb_invert_wavefront(y, pcb, workers=4)
-    assert np.array_equal(single, multi)
-    assert np.max(np.abs(multi - x)) < 1e-4
-
-
-def test_wavefront_worker_count_bit_identical():
-    rng = np.random.default_rng(9)
-    c, k = 4, 3
-    pcb = random_masked_kernel(c, k, Orientation.TL, rng, np.float32)
-    y = rng.normal(size=(2, c, 16, 16)).astype(np.float32)
-    results = [pcb_invert_wavefront(y, pcb, workers=nw) for nw in (1, 2, 4, 8)]
-    for r in results[1:]:
-        assert np.array_equal(results[0], r)
+    first = pcb_invert_wavefront(y, pcb)
+    assert np.array_equal(first, pcb_invert_wavefront(y, pcb))
+    assert np.max(np.abs(first - x)) < 1e-4
 
 
 def test_wavefront_rejects_workers_below_one():
-    rng = np.random.default_rng(9)
-    pcb = random_masked_kernel(2, 3, Orientation.BR, rng)
-    unit = random_unit(8, 3, rng)
-    with pytest.raises(ShapeMismatch, match="workers"):
-        pcb_invert_wavefront(np.zeros((1, 2, 4, 4)), pcb, workers=0)
+    # unit_invert keeps its no-op workers keyword, and still checks it
+    unit = random_unit(8, 3, np.random.default_rng(9))
     with pytest.raises(ShapeMismatch, match="workers"):
         unit_invert(np.zeros((1, 8, 4, 4)), unit, workers=0)
+
+
+def test_wavefront_takes_no_worker_count():
+    # stats is keyword-only, so a stale positional worker count is an error
+    pcb = random_masked_kernel(2, 3, Orientation.TL, np.random.default_rng(9))
+    with pytest.raises(TypeError):
+        pcb_invert_wavefront(np.zeros((1, 2, 4, 4)), pcb, 2)
 
 
 def test_triple_oracle_agreement_f64():
@@ -251,7 +246,7 @@ def test_triple_oracle_agreement_f64():
         for o in Orientation:
             pcb = random_masked_kernel(c, k, o, rng)
             y = rng.normal(size=(1, c, h, w))
-            wf = pcb_invert_wavefront(y, pcb, workers=2)
+            wf = pcb_invert_wavefront(y, pcb)
             ref = pcb_invert_reference(y, pcb)
             dns = dense_invert(y, pcb)
             assert np.max(np.abs(wf - ref)) < 1e-9
@@ -273,7 +268,7 @@ def test_round_trip_property_f64(c, h, w, k, o, seed):
     pcb = random_masked_kernel(c, k, o, rng)
     x = rng.normal(size=(1, c, h, w))
     y = pcb_forward(x, pcb)
-    back = pcb_invert_wavefront(y, pcb, workers=2)
+    back = pcb_invert_wavefront(y, pcb)
     assert np.max(np.abs(back - x)) < 1e-9
 
 
@@ -282,7 +277,7 @@ def test_round_trip_f32_tolerance():
     c, k = 8, 3
     pcb = random_masked_kernel(c, k, Orientation.TL, rng, np.float32)
     x = rng.normal(size=(2, c, 32, 32)).astype(np.float32)
-    back = pcb_invert_wavefront(pcb_forward(x, pcb), pcb, workers=4)
+    back = pcb_invert_wavefront(pcb_forward(x, pcb), pcb)
     assert np.max(np.abs(back - x)) < 1e-4
 
 
@@ -337,7 +332,7 @@ def test_unit_invert_round_trip_f32():
     unit = random_unit(8, 3, rng, np.float32)
     x = rng.normal(size=(2, 8, 16, 16)).astype(np.float32)
     y, _ = unit_forward(x, unit)
-    back = unit_invert(y, unit, workers=4)
+    back = unit_invert(y, unit)
     assert np.max(np.abs(back - x)) < 1e-4
 
 
@@ -346,7 +341,7 @@ def test_unit_invert_matches_per_block_reference():
     for k, shape in [(3, (2, 8, 8, 8)), (5, (3, 8, 6, 9))]:
         unit = random_unit(shape[1], k, rng)
         y = rng.normal(size=shape)
-        whole = unit_invert(y, unit, workers=2)
+        whole = unit_invert(y, unit)
         parts = [
             pcb_invert_reference(q, blk)
             for q, blk in zip(channel_split(y, 4), unit.blocks)
@@ -359,7 +354,7 @@ def test_unit_invert_shares_barrier_phases():
     unit = random_unit(8, 3, rng)
     y = rng.normal(size=(1, 8, 12, 12))
     stats = InvertStats()
-    unit_invert(y, unit, workers=2, stats=stats)
+    unit_invert(y, unit, stats=stats)
     assert stats.phases == 12 + 12 - 1
     assert stats.max_element_madds <= 3 * 3 * 2  # per-block C is 2
 
