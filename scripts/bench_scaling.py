@@ -2,12 +2,14 @@
 """Wall-clock scaling of the inversion strategies as the image size
 doubles: raster back-substitution grows with the pixel count (~4x per
 doubling) while the wavefront sweep grows with the diagonal count (~2x).
-Writes a benchmark CSV plus a gnuplot data file."""
+One measure_scaling pass writes a benchmark CSV plus a gnuplot data file
+and prints the growth ratio of every consecutive pair of sizes."""
 
 import argparse
 from pathlib import Path
 
-from fincflow.bench import CSV_HEADER, bench_invert, measure_scaling, write_gnuplot
+from fincflow.bench import csv_text, measure_scaling, write_gnuplot
+from fincflow.cli import parse_sizes
 
 
 def main():
@@ -18,26 +20,18 @@ def main():
     ap.add_argument("--out", default="out/scaling")
     args = ap.parse_args()
 
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = parse_sizes(args.sizes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    reports = []
-    rows = [CSV_HEADER]
-    for n in sizes:
-        for strategy in ("reference", "wavefront"):
-            rep = bench_invert(n, args.channels, args.kernel_size, 1, strategy)
-            reports.append(rep)
-            rows.append(rep.csv_row())
-            print(f"n={n:4d} {strategy:<9}  mean={rep.mean_s:.5f}s "
-                  f"ci95={rep.ci95_s:.5f}s phases={rep.phases}")
-    (out / "bench.csv").write_text("\n".join(rows) + "\n")
-    write_gnuplot(reports, out / "curve.dat")
+    result = measure_scaling(sizes=tuple(sizes), c=args.channels, k=args.kernel_size)
+    text = csv_text(result["reports"])
+    print(text, end="")
+    (out / "bench.csv").write_text(text)
+    write_gnuplot(result["reports"], out / "curve.dat")
 
-    ratios = measure_scaling(sizes=tuple(sizes[-3:]), c=args.channels,
-                             k=args.kernel_size)["ratios"]
     print("growth ratios (medians over 10 rounds):")
-    for strategy, pairs in ratios.items():
+    for strategy, pairs in result["ratios"].items():
         for pair, value in pairs.items():
             print(f"  {strategy:<9} {pair}: {value:.2f}x")
     print(f"wrote {out}/bench.csv and {out}/curve.dat")

@@ -1,11 +1,12 @@
 """Benchmark harness (timing protocol, CSV reports) and the correctness
 check suite behind the ``check`` subcommand.
 
-Timing protocol: every configuration is run 11 times and the first run is
-discarded as warm-up; mean, sample standard deviation, and the 95%
-confidence half-width (t distribution, 9 degrees of freedom) are computed
-over runs 2-11.  The clock is monotonic with nanosecond resolution and
-wraps only the inversion call, never allocation or setup.
+Timing protocol: ``time_rounds`` runs every prepared case once per round
+for 11 rounds and discards the first round as warm-up; mean, sample
+standard deviation, and the 95% confidence half-width (t distribution, 9
+degrees of freedom) are computed over rounds 2-11.  The clock is
+monotonic with nanosecond resolution and wraps only the inversion call,
+never allocation or setup.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def ci95_half_width(values: np.ndarray) -> float:
     if n < 2:
         return 0.0
     # imported here: scipy takes most of the CLI's start-up time, and only
-    # bench reports use it
+    # bench reports and the dense oracle use it
     from scipy import stats
 
     t = float(stats.t.ppf(0.975, n - 1))
@@ -62,7 +63,7 @@ class BenchReport:
     k: int
     batch: int
     strategy: str
-    runs_s: list[float] = field(default_factory=list)  # all 11, first is warm-up
+    runs_s: list[float] = field(default_factory=list)  # one per round, first is warm-up
     phases: int = 0
     madds: int = 0
 
@@ -98,13 +99,28 @@ class BenchReport:
         )
 
 
+def csv_text(reports: list[BenchReport]) -> str:
+    """The bench CSV: the header, then one row per report."""
+    return "\n".join([CSV_HEADER, *(r.csv_row() for r in reports)]) + "\n"
+
+
 def _timed(fn) -> float:
     t0 = time.perf_counter_ns()
     fn()
     return (time.perf_counter_ns() - t0) / 1e9
 
 
-def _prepare(n, c, k, batch, strategy, seed, dtype, unit: bool):
+def time_rounds(cases, rounds: int = RUNS_TOTAL) -> list[BenchReport]:
+    """Time prepared ``(report, call)`` cases in interleaved rounds: each
+    round times every case once, in list order, and appends the time to
+    its report's ``runs_s``.  Returns the reports."""
+    for _ in range(rounds):
+        for report, fn in cases:
+            report.runs_s.append(_timed(fn))
+    return [report for report, _ in cases]
+
+
+def prepare_case(n, c, k, batch, strategy, seed, dtype, unit: bool):
     """One inversion strategy on an untrained random block or unit: its
     report, with phases and madds but no runs yet, and the call to time.
     A block is a one-group problem; the reference strategy inverts the
@@ -165,9 +181,7 @@ def bench_invert(
     """Time one inversion strategy on an untrained random block or, with
     ``unit``, a four-block unit (C divisible by 4) whose reference
     strategy inverts the blocks one after another."""
-    report, fn = _prepare(n, c, k, batch, strategy, seed, dtype, unit)
-    report.runs_s = [_timed(fn) for _ in range(runs)]
-    return report
+    return time_rounds([prepare_case(n, c, k, batch, strategy, seed, dtype, unit)], runs)[0]
 
 
 def write_gnuplot(reports: list[BenchReport], path) -> None:
@@ -188,29 +202,28 @@ def measure_scaling(
     sizes=(32, 64, 128),
     c: int = 4,
     k: int = 3,
-    batch: int = 1,
     runs: int = 10,
     seed: int = 0,
 ) -> dict:
-    """Median wall times of the sequential raster inversion vs the
-    wavefront across doubling sizes, plus growth ratios.  Each of runs+1
-    rounds (the first discarded) times every size and strategy once; a
-    ratio is the median over rounds of one round's ratio of times, so a
-    change of the host's clock speed between rounds slows both sides alike.
-    The wavefront solves each of its H+W-1 anti-diagonals with one
-    batched gather and contraction."""
+    """Wall times of the sequential raster inversion vs the wavefront on
+    one image across doubling sizes: the reports of both strategies at
+    every size (size-major, the bench CSV's row order), their medians and
+    growth ratios.  ``time_rounds`` times every case once in each of
+    runs+1 rounds, the first discarded; a ratio is the median over rounds
+    of one round's ratio of times, so a change of the host's clock speed
+    between rounds slows both sides alike.  The wavefront solves each of
+    its H+W-1 anti-diagonals with one batched gather and contraction."""
     strategies = ("reference", "wavefront")
     cases = [
-        _prepare(n, c, k, batch, s, seed, np.float32, unit=False)
-        for s in strategies
+        prepare_case(n, c, k, 1, s, seed, np.float32, unit=False)
         for n in sizes
+        for s in strategies
     ]
-    for _ in range(runs + 1):
-        for report, fn in cases:
-            report.runs_s.append(_timed(fn))
-    kept = {(r.strategy, r.n): r.kept for r, _ in cases}
+    reports = time_rounds(cases, runs + 1)
+    kept = {(r.strategy, r.n): r.kept for r in reports}
     pairs = list(zip(sizes[:-1], sizes[1:]))
     return {
+        "reports": reports,
         "medians": {s: {n: float(np.median(kept[s, n])) for n in sizes} for s in strategies},
         "ratios": {
             s: {f"{a}->{b}": float(np.median(kept[s, b] / kept[s, a])) for a, b in pairs}
@@ -306,10 +319,11 @@ def run_checks(
         return _max_abs(unit_invert(yu, unit) - xu)
 
     def worker_determinism():
-        # workers only matters to sample / inverse batches of more than
-        # CHUNK_IMAGES images, which run in chunks
+        # workers only matters to batches of more than CHUNK_IMAGES images,
+        # which run on min(workers, chunks) lanes: 9 chunks fill 8 lanes
         def draw(nw):
-            return model.sample(CHUNK_IMAGES + 1, rng=np.random.default_rng(seed + 4), workers=nw)
+            rng = np.random.default_rng(seed + 4)
+            return model.sample(8 * CHUNK_IMAGES + 1, rng=rng, workers=nw)
 
         base = draw(1)
         return max(_max_abs(draw(nw) - base) for nw in (2, 4, 8))

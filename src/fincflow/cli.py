@@ -4,7 +4,7 @@ Options can come from a ``--config FILE`` of ``key = value`` lines
 ('#' starts a comment; keys use the flag spelling with underscores).
 Command-line flags override file values; unknown keys are rejected.
 FINCFLOW_WORKERS sets the default of --workers, the thread count of
-sample and reconstruct.
+sample and reconstruct; a value that is not an integer >= 1 is an error.
 """
 
 from __future__ import annotations
@@ -33,23 +33,21 @@ from .train import (
 
 
 def _default_workers() -> int:
-    env = os.environ.get("FINCFLOW_WORKERS")
-    if env is not None:
-        try:
-            value = int(env)
-            if value >= 1:
-                return value
-        except ValueError:
-            pass
-        print(f"warning: ignoring bad FINCFLOW_WORKERS={env!r}", file=sys.stderr)
-    return 1
+    env = os.environ.get("FINCFLOW_WORKERS", "1")
+    if not env.isdecimal() or int(env) < 1:
+        raise BadFormat(f"FINCFLOW_WORKERS must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="key = value file")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--dtype", choices=("f32", "f64"), default="f32")
+    common.add_argument(
+        "--dtype", choices=("f32", "f64"), default="f32",
+        help="read by train and bench; check runs its fixed f32 and f64 rows; "
+        "sample and reconstruct use the checkpoint's dtype",
+    )
     common.add_argument(
         "--workers",
         type=int,
@@ -150,7 +148,10 @@ def _coerce(action: argparse.Action, raw: str):
 def apply_config_file(args: argparse.Namespace, subparser, argv) -> argparse.Namespace:
     """Validate config keys, install them as defaults, re-parse the
     command line so explicit flags win."""
-    values = parse_config_file(args.config)
+    try:
+        values = parse_config_file(args.config)
+    except OSError as exc:
+        raise BadFormat(f"cannot read config: {exc}") from None
     actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
     defaults = {}
     for key, raw in values.items():
@@ -290,7 +291,7 @@ def cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-def _parse_sizes(raw: str) -> list[int]:
+def parse_sizes(raw: str) -> list[int]:
     sizes = []
     for tok in raw.split(","):
         tok = tok.strip()
@@ -310,31 +311,31 @@ def _parse_sizes(raw: str) -> list[int]:
 
 def cmd_bench(args) -> int:
     _require_positive(args, "batch", "channels", "kernel_size")
-    sizes = _parse_sizes(args.sizes)
+    sizes = parse_sizes(args.sizes)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if not strategies:
         raise BadFormat("no bench strategies given")
     unit = args.target == "unit"
-    reports = []
-    lines = [bench_mod.CSV_HEADER]
+    dtype = np.float64 if args.dtype == "f64" else np.float32
+    cases = []
     for n in sizes:
         for strategy in strategies:
             if unit and strategy == "dense":
                 print("note: dense strategy not defined for units; skipped", file=sys.stderr)
                 continue
             try:
-                rep = bench_mod.bench_invert(
+                case = bench_mod.prepare_case(
                     n, args.channels, args.kernel_size, args.batch, strategy,
-                    unit=unit, seed=args.seed,
+                    args.seed, dtype, unit,
                 )
             except TooLargeForDense as exc:
                 print(f"note: {exc}; row skipped", file=sys.stderr)
                 continue
-            reports.append(rep)
-            lines.append(rep.csv_row())
+            cases.append(case)
+    reports = bench_mod.time_rounds(cases)
     if not reports:
         raise FincError("every bench row was skipped; nothing was measured")
-    text = "\n".join(lines) + "\n"
+    text = bench_mod.csv_text(reports)
     if args.csv:
         Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
         Path(args.csv).write_text(text)
@@ -358,18 +359,11 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            args = apply_config_file(args, subparsers[args.command], argv)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 1
-        except FincError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
     try:
+        parser, subparsers = build_parser()
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            args = apply_config_file(args, subparsers[args.command], argv)
         _require_positive(args, "workers")
         return COMMANDS[args.command](args)
     except FincError as exc:

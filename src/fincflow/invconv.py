@@ -329,26 +329,21 @@ def canonical_permutation(orientation: Orientation, h: int, w: int, c: int) -> n
 
 
 def dense_invert(y: np.ndarray, kern: MaskedKernel) -> np.ndarray:
-    """Invert through an explicit triangular solve of the dense matrix."""
+    """Invert through an explicit triangular solve of the dense matrix,
+    all images at once.  Only its lower triangle is read."""
+    # imported here: scipy would dominate the import time of this module,
+    # and only the dense oracle uses it
+    from scipy.linalg import solve_triangular
+
     y = require_nchw(y)
     n, c, h, w = y.shape
     if c != kern.channels:
         raise ShapeMismatch(f"input has C={c}, kernel expects {kern.channels}")
-    m = build_conv_matrix(kern, h, w)
     perm = canonical_permutation(kern.orientation, h, w, c)
-    mc = m[np.ix_(perm, perm)]
-    side = h * w * c
-    out = np.empty((n, side))
+    mc = build_conv_matrix(kern, h, w)[np.ix_(perm, perm)]
     vecs = vectorize_hwc(y.astype(np.float64))
-    for s in range(n):
-        bc = vecs[s][perm]
-        xc = np.empty(side)
-        for r in range(side):
-            acc = mc[r, :r] @ xc[:r] if r else 0.0
-            xc[r] = (bc[r] - acc) / mc[r, r]
-        xv = np.empty(side)
-        xv[perm] = xc
-        out[s] = xv
+    out = np.empty_like(vecs)
+    out[:, perm] = solve_triangular(mc, vecs[:, perm].T, lower=True).T
     return unvectorize_hwc(out, c, h, w).astype(y.dtype)
 
 

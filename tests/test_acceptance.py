@@ -128,7 +128,8 @@ def test_structural_claims():
 
 def test_worker_count_determinism():
     """FlowModel.inverse and sample bit-identical across workers in
-    {1,2,4,8}, on batches that run in 2 and 3 chunks, f32 and f64."""
+    {1,2,4,8}, on batches that run in 2, 3 and 9 chunks (9 chunks run on
+    as many lanes as workers), f32 and f64."""
     for dtype in ("f32", "f64"):
         cfg = ModelConfig(4, 8, 8, levels=2, steps=1, hidden=8, dtype=dtype)
         rng = np.random.default_rng(11)
@@ -137,7 +138,7 @@ def test_worker_count_determinism():
             p.value = p.value + 0.05 * rng.standard_normal(p.value.shape).astype(p.value.dtype)
         for p, orientation in model.unit_params():
             p.value = apply_anchor_mask(MaskedKernel(p.value, orientation)).weights
-        for batch in (CHUNK_IMAGES + 1, 2 * CHUNK_IMAGES + 1):
+        for batch in (CHUNK_IMAGES + 1, 2 * CHUNK_IMAGES + 1, 8 * CHUNK_IMAGES + 1):
             rng = np.random.default_rng(batch)
             latents = [rng.standard_normal(s).astype(model.dtype)
                        for s in model.latent_shapes(batch)]

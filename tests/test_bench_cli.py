@@ -164,13 +164,23 @@ def test_cli_check_output_pinned(capsys, argv, exit_code, failing, oracle):
     assert lines[-1] == f"{len(rows) - len(failing)}/{len(rows)} checks passed"
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """scipy serves only bench's t-quantiles; the CLI must not load it at
-    start-up."""
-    code = "import sys, fincflow.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"
+def _assert_import_leaves_scipy_unloaded(module):
+    code = f"import sys, {module}; assert 'scipy' not in sys.modules, 'scipy loaded'"
     src = str(Path(fincflow.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy serves only bench's t-quantiles and the dense oracle; the CLI
+    must not load it at start-up."""
+    _assert_import_leaves_scipy_unloaded("fincflow.cli")
+
+
+def test_invconv_import_leaves_scipy_unloaded():
+    """The benchmark's set-up time includes importing invconv; only the
+    dense oracle needs scipy."""
+    _assert_import_leaves_scipy_unloaded("fincflow.invconv")
 
 
 def test_cli_train_sample_reconstruct_round_trip(tmp_path, capsys):
@@ -429,6 +439,59 @@ def test_bench_scaling_script_smoke(tmp_path):
     assert (tmp_path / "curve.dat").is_file()
 
 
+def _count_timer_calls(monkeypatch):
+    import fincflow.bench
+
+    calls = []
+    real = fincflow.bench._timed
+
+    def counting(fn):
+        calls.append(fn)
+        return real(fn)
+
+    monkeypatch.setattr(fincflow.bench, "_timed", counting)
+    return calls
+
+
+def test_bench_scaling_script_times_each_case_once(tmp_path, monkeypatch, capsys):
+    import runpy
+
+    calls = _count_timer_calls(monkeypatch)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_scaling.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--sizes", "8,16,32", "--out", str(tmp_path)])
+    runpy.run_path(str(script), run_name="__main__")
+    # 11 rounds (the first discarded) of 3 sizes x 2 strategies
+    assert len(calls) == 11 * 6
+    out = capsys.readouterr().out
+    for strategy in ("reference", "wavefront"):
+        for pair in ("8->16", "16->32"):
+            assert re.search(rf"{strategy} +{pair}: ", out), (strategy, pair)
+
+
+def test_cli_bench_unknown_strategy_times_nothing(monkeypatch, capsys):
+    calls = _count_timer_calls(monkeypatch)
+    assert main(["bench", "--sizes", "8,16", "--strategies", "wavefront,foo"]) == 1
+    captured = capsys.readouterr()
+    assert "error: unknown strategy 'foo'" in captured.err and captured.out == ""
+    assert calls == []
+
+
+def test_cli_bench_times_the_requested_dtype(monkeypatch, capsys):
+    import fincflow.bench
+
+    seen = []
+    real = fincflow.bench.prepare_case
+
+    def spy(n, c, k, batch, strategy, seed, dtype, unit):
+        seen.append(dtype)
+        return real(n, c, k, batch, strategy, seed, dtype, unit)
+
+    monkeypatch.setattr(fincflow.bench, "prepare_case", spy)
+    args = ["bench", "--dtype", "f64", "--sizes", "8", "--strategies", "reference,wavefront,dense"]
+    assert main(args) == 0
+    assert seen == [np.float64] * 3
+
+
 def test_cli_bench_dense_refused_above_cap(tmp_path, capsys):
     rc = main(
         ["bench", "--sizes", "64", "--channels", "2", "--strategies", "dense",
@@ -529,9 +592,17 @@ def test_workers_env_default(monkeypatch, tmp_path):
     args = parser.parse_args(["check"])
     assert args.workers == 3
     monkeypatch.setenv("FINCFLOW_WORKERS", "junk")
-    parser, _ = build_parser()
-    args = parser.parse_args(["check"])
-    assert args.workers == 1
+    with pytest.raises(BadFormat, match="FINCFLOW_WORKERS"):
+        build_parser()
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "junk", "1.5", pytest.param("", id="empty")])
+def test_cli_rejects_bad_workers_env(monkeypatch, capsys, value):
+    # the same policy as --workers 0 and a config file's workers = 0
+    monkeypatch.setenv("FINCFLOW_WORKERS", value)
+    assert main(["check", "--size", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: FINCFLOW_WORKERS") and captured.out == ""
 
 
 def test_cli_sample_pgm_for_single_channel(tmp_path):
