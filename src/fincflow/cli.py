@@ -44,7 +44,7 @@ def build_parser():
     common.add_argument("--config", type=str, default=None, help="key = value file")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument(
-        "--dtype", choices=("f32", "f64"), default="f32",
+        "--dtype", choices=tuple(ModelConfig.DTYPES), default="f32",
         help="read by train and bench; check runs its fixed f32 and f64 rows; "
         "sample and reconstruct use the checkpoint's dtype",
     )
@@ -114,18 +114,22 @@ def build_parser():
 
 
 def parse_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise BadFormat(f"{path}: config file is not UTF-8 text ({exc.reason})") from None
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise BadFormat(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key:
-                raise BadFormat(f"{path}:{lineno}: empty key")
-            values[key.replace("-", "_")] = value
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise BadFormat(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise BadFormat(f"{path}:{lineno}: empty key")
+        values[key.replace("-", "_")] = value
     return values
 
 
@@ -148,10 +152,7 @@ def _coerce(action: argparse.Action, raw: str):
 def apply_config_file(args: argparse.Namespace, subparser, argv) -> argparse.Namespace:
     """Validate config keys, install them as defaults, re-parse the
     command line so explicit flags win."""
-    try:
-        values = parse_config_file(args.config)
-    except OSError as exc:
-        raise BadFormat(f"cannot read config: {exc}") from None
+    values = parse_config_file(args.config)
     actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
     defaults = {}
     for key, raw in values.items():
@@ -211,6 +212,9 @@ def cmd_train(args) -> int:
 
 
 def _requantize(x: np.ndarray) -> np.ndarray:
+    bad = x.size - np.count_nonzero(np.isfinite(x))
+    if bad:  # callers requantize before they write any file
+        raise FincError(f"model output has {bad} non-finite values of {x.size}")
     return np.clip(np.floor(x * 256.0), 0, 255).astype(np.uint8)
 
 
@@ -221,9 +225,9 @@ def cmd_sample(args) -> int:
     model = checkpoint_load(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     x = model.sample(args.count, args.temperature, rng, workers=args.workers)
+    imgs = _requantize(x)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    imgs = _requantize(x)
     c = imgs.shape[1]
     for i in range(imgs.shape[0]):
         if c in (1, 3):
@@ -316,7 +320,7 @@ def cmd_bench(args) -> int:
     if not strategies:
         raise BadFormat("no bench strategies given")
     unit = args.target == "unit"
-    dtype = np.float64 if args.dtype == "f64" else np.float32
+    dtype = ModelConfig.DTYPES[args.dtype]
     cases = []
     for n in sizes:
         for strategy in strategies:
@@ -366,7 +370,7 @@ def main(argv=None) -> int:
             args = apply_config_file(args, subparsers[args.command], argv)
         _require_positive(args, "workers")
         return COMMANDS[args.command](args)
-    except FincError as exc:
+    except (FincError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

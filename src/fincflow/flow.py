@@ -569,13 +569,14 @@ class ModelConfig:
     kernel_size: int = 3
     hidden: int = 64
     dtype: str = "f32"
+    DTYPES = {"f32": np.float32, "f64": np.float64}  # names to numpy types: the one map
 
     def numpy_dtype(self):
-        return np.float32 if self.dtype == "f32" else np.float64
+        return self.DTYPES[self.dtype]
 
     def validate(self):
-        if self.dtype not in ("f32", "f64"):
-            raise ShapeMismatch(f"dtype must be 'f32' or 'f64', got {self.dtype!r}")
+        if self.dtype not in self.DTYPES:
+            raise ShapeMismatch(f"dtype must be one of {sorted(self.DTYPES)}, got {self.dtype!r}")
         sizes = ("channels", "height", "width", "kernel_size", "hidden", "levels", "steps")
         small = [name for name in sizes if getattr(self, name) < 1]
         if small:

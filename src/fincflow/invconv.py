@@ -183,9 +183,9 @@ def random_unit(c: int, k: int, rng: np.random.Generator, dtype=np.float64) -> F
 
 
 def _tl_view(a: np.ndarray, orientation: Orientation) -> np.ndarray:
-    """``a`` flipped over its last two axes into TL form: a view, no copy.
-    The flip is its own inverse, so a TL-form result written through the
-    view of an output lands in the orientation's frame."""
+    """``a`` flipped over its last two axes into TL form, the orientation's
+    raster order: a view, no copy.  The flip is its own inverse, so a TL-form
+    result written through the view of an output lands in the orientation's frame."""
     return a[..., :: 1 if orientation.pads_top else -1, :: 1 if orientation.pads_left else -1]
 
 
@@ -285,52 +285,50 @@ def unvectorize_hwc(v: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
     return np.ascontiguousarray(v.reshape(-1, h, w, c).transpose(0, 3, 1, 2))
 
 
-def build_conv_matrix(kern: MaskedKernel, h: int, w: int) -> np.ndarray:
-    """Dense (HWC x HWC) matrix M with vec_hwc(y) = M @ vec_hwc(x).
-
-    Row/column index of (pixel i,j, channel c) is (i*W + j)*C + c.  Each
-    row has at most k*k*C nonzeros.  Float64 regardless of model dtype;
-    this is an oracle, not a fast path.
-    """
+def _conv_matrix(kern: MaskedKernel, pos: np.ndarray) -> np.ndarray:
+    """Dense f64 matrix of the block with pixel (i, j) at row and column
+    block ``pos[i, j]``, channels innermost.  Each tap is one indexed add
+    over the pixels it reads in bounds; a pixel's taps read distinct
+    pixels, so no entry is written twice."""
+    h, w = pos.shape
     c, k = kern.channels, kern.k
     side = h * w * c
     if side > DENSE_CAP:
         raise TooLargeForDense(f"H*W*C = {side} exceeds dense cap {DENSE_CAP}")
-    ah, aw = kern.anchor  # tap (p, q) reads input pixel (i+p-ah, j+q-aw)
+    ah, aw = kern.anchor
     kw = kern.weights.astype(np.float64)
     m = np.zeros((side, side))
-    for i in range(h):
-        for j in range(w):
-            row0 = (i * w + j) * c
-            for p in range(k):
-                ii = i + p - ah
-                if not 0 <= ii < h:
-                    continue
-                for q in range(k):
-                    jj = j + q - aw
-                    if not 0 <= jj < w:
-                        continue
-                    col0 = (ii * w + jj) * c
-                    m[row0 : row0 + c, col0 : col0 + c] += kw[:, :, p, q]
+    blocks = m.reshape(h * w, c, h * w, c)
+    # padded so that src[i+p, j+q] is input pixel (i+p-ah, j+q-aw); -1 outside
+    src = np.pad(pos, ((ah, k - 1 - ah), (aw, k - 1 - aw)), constant_values=-1)
+    for p in range(k):
+        for q in range(k):
+            cols = src[p : p + h, q : q + w]
+            inb = cols >= 0
+            blocks[pos[inb], :, cols[inb], :] += kw[:, :, p, q]
     return m
 
 
-def canonical_permutation(orientation: Orientation, h: int, w: int, c: int) -> np.ndarray:
-    """Index order in which this orientation's matrix is lower triangular.
+def build_conv_matrix(kern: MaskedKernel, h: int, w: int) -> np.ndarray:
+    """Dense (HWC x HWC) matrix M with vec_hwc(y) = M @ vec_hwc(x): (pixel
+    i,j, channel c) is row/column (i*W + j)*C + c, the raster order a TL block
+    is solved in.  Each row has at most k*k*C nonzeros.  Float64 regardless
+    of model dtype; this is an oracle, not a fast path."""
+    return _conv_matrix(kern, np.arange(h * w).reshape(h, w))
 
-    Rows ascend with the padded sides: height ascending iff the top is
-    padded, width ascending iff the left is padded, channels always
-    innermost and ascending.
-    """
-    rows = np.arange(h) if orientation.pads_top else np.arange(h)[::-1]
-    cols = np.arange(w) if orientation.pads_left else np.arange(w)[::-1]
-    pix = (rows[:, None] * w + cols[None, :]) * c
-    return (pix[:, :, None] + np.arange(c)).reshape(-1)
+
+def canonical_permutation(orientation: Orientation, h: int, w: int, c: int) -> np.ndarray:
+    """Index order in which this orientation's matrix is lower triangular:
+    pixels in its raster order (rows ascend iff the top is padded, columns
+    iff the left is), channels innermost and ascending."""
+    pix = _tl_view(np.arange(h * w).reshape(h, w), orientation)
+    return (pix[:, :, None] * c + np.arange(c)).reshape(-1)
 
 
 def dense_invert(y: np.ndarray, kern: MaskedKernel) -> np.ndarray:
     """Invert through an explicit triangular solve of the dense matrix,
-    all images at once.  Only its lower triangle is read."""
+    all images at once.  The matrix is built in the orientation's raster
+    order, the order it is solved in, and only its lower triangle is read."""
     # imported here: scipy would dominate the import time of this module,
     # and only the dense oracle uses it
     from scipy.linalg import solve_triangular
@@ -339,12 +337,12 @@ def dense_invert(y: np.ndarray, kern: MaskedKernel) -> np.ndarray:
     n, c, h, w = y.shape
     if c != kern.channels:
         raise ShapeMismatch(f"input has C={c}, kernel expects {kern.channels}")
-    perm = canonical_permutation(kern.orientation, h, w, c)
-    mc = build_conv_matrix(kern, h, w)[np.ix_(perm, perm)]
-    vecs = vectorize_hwc(y.astype(np.float64))
-    out = np.empty_like(vecs)
-    out[:, perm] = solve_triangular(mc, vecs[:, perm].T, lower=True).T
-    return unvectorize_hwc(out, c, h, w).astype(y.dtype)
+    # a raster order only keeps or reverses rows and columns, so this
+    # permutation is its own inverse: entry (i, j) is pixel (i, j)'s position
+    mc = _conv_matrix(kern, canonical_permutation(kern.orientation, h, w, 1).reshape(h, w))
+    vecs = vectorize_hwc(_tl_view(y, kern.orientation).astype(np.float64))
+    sol = solve_triangular(mc, vecs.T, lower=True).T
+    return _tl_view(unvectorize_hwc(sol, c, h, w), kern.orientation).astype(y.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -366,21 +364,17 @@ def pcb_invert_reference(y: np.ndarray, kern: MaskedKernel) -> np.ndarray:
     ah, aw = kern.anchor  # tap (p, q) reads input pixel (i+p-ah, j+q-aw)
     kw = kern.weights.astype(y.dtype, copy=False)
     taps = [(p, q) for p in range(k) for q in range(k) if (p, q) != (ah, aw)]
-    i_order = range(h) if kern.orientation.pads_top else range(h - 1, -1, -1)
-    j_order = (
-        list(range(w)) if kern.orientation.pads_left else list(range(w - 1, -1, -1))
-    )
+    pixels = [divmod(pix, w) for pix in canonical_permutation(kern.orientation, h, w, 1).tolist()]
     x = np.empty_like(y)
     for s in range(n):
-        for i in i_order:
-            for j in j_order:
-                acc = np.zeros(c, dtype=y.dtype)
-                for p, q in taps:
-                    ii = i + p - ah
-                    jj = j + q - aw
-                    if 0 <= ii < h and 0 <= jj < w:
-                        acc += kw[:, :, p, q] @ x[s, :, ii, jj]
-                x[s, :, i, j] = y[s, :, i, j] - acc
+        for i, j in pixels:
+            acc = np.zeros(c, dtype=y.dtype)
+            for p, q in taps:
+                ii = i + p - ah
+                jj = j + q - aw
+                if 0 <= ii < h and 0 <= jj < w:
+                    acc += kw[:, :, p, q] @ x[s, :, ii, jj]
+            x[s, :, i, j] = y[s, :, i, j] - acc
     return x
 
 

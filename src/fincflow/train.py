@@ -307,7 +307,8 @@ def checkpoint_load(path) -> FlowModel:
         if code not in CODE_DTYPES:
             raise BadFormat(f"{path}: unknown dtype code {code}")
         dtype = CODE_DTYPES[code]
-        cfg = ModelConfig(**dict(zip(_CONFIG_FIELDS, config)), dtype=f"f{8 * dtype.itemsize}")
+        name = next(n for n, t in ModelConfig.DTYPES.items() if t == dtype)
+        cfg = ModelConfig(**dict(zip(_CONFIG_FIELDS, config)), dtype=name)
         cfg.validate()
         # Before allocating, the payload must hold one record (>= 25 bytes)
         # per flow step and the largest parameter: a coupling 1x1 conv

@@ -301,6 +301,59 @@ def test_cli_train_huge_hidden_is_an_error(tmp_path, capsys, monkeypatch, refusa
     assert not (tmp_path / "x").exists()
 
 
+def _unreadable_config(tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# caf\u00e9\nsize = 8\n".encode("latin-1"))
+    return ["check", "--config", str(cfg)], "latin1.cfg: config file is not UTF-8 text"
+
+
+def _blocked_out_dir(tmp_path):
+    (tmp_path / "blocker").write_text("a file, not a directory")
+    out = tmp_path / "blocker" / "run"
+    return ["train", "--count", "2", "--size", "8", "--batch-size", "2", "--levels", "1",
+            "--steps", "1", "--hidden", "4", "--out", str(out)], "blocker"
+
+
+@pytest.mark.parametrize("case", [
+    lambda t: (["sample", str(t / "missing.ckpt"), "--out", str(t / "s")], "missing.ckpt"),
+    lambda t: (["train", "--data", str(t / "missing.ften"), "--out", str(t / "s")], "missing.ften"),
+    lambda t: (["check", "--config", str(t / "missing.cfg")], "missing.cfg"),
+    _unreadable_config,
+    _blocked_out_dir,
+], ids=["missing-checkpoint", "missing-dataset", "missing-config", "non-utf8-config",
+        "out-dir-not-makeable"])
+def test_cli_file_errors_are_reported_not_raised(tmp_path, capsys, case):
+    argv, name = case(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and name in captured.err, captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "reconstruct"])
+def test_cli_rejects_non_finite_model_output(tmp_path, capsys, command):
+    from fincflow.images import write_image
+    from fincflow.train import checkpoint_save
+
+    model = FlowModel(ModelConfig(1, 8, 8, levels=1, steps=1, hidden=8),
+                      identity_init=True, data_init=False)
+    dict(model.named_params())["level0.step0.actnorm.bias"].value[0] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    checkpoint_save(model, ckpt)
+    if command == "sample":
+        written = tmp_path / "s"
+        argv = ["sample", str(ckpt), "--count", "3", "--out", str(written)]
+    else:
+        write_image(tmp_path / "in.pgm", np.zeros((1, 8, 8), np.uint8))
+        written = tmp_path / "r.pgm"
+        argv = ["reconstruct", str(ckpt), str(tmp_path / "in.pgm"), str(written)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert re.match(r"error: model output has [1-9]\d* non-finite values of \d+", captured.err)
+    assert captured.out == "" and not written.exists()
+
+
 def test_cli_sample_rejects_bad_count(tmp_path, capsys):
     from fincflow.train import checkpoint_save
 

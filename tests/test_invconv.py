@@ -28,6 +28,7 @@ from fincflow.invconv import (
     unit_invert,
     vectorize_hwc,
 )
+from fincflow.invconv import _conv_matrix
 from fincflow.tensor import Orientation, channel_split, flip
 
 
@@ -107,14 +108,36 @@ def test_conv_matrix_identity_kernel():
     assert np.array_equal(m, np.eye(32))
 
 
+def raster_positions(orientation, h, w):
+    """Pixel (i, j)'s position in the orientation's raster order, the map
+    ``dense_invert`` builds its matrix with."""
+    return canonical_permutation(orientation, h, w, 1).reshape(h, w)
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("h,w", [(2, 5), (5, 3), (1, 4), (3, 4)])
+def test_raster_order_matrix_is_the_permuted_hwc_matrix(orientation, k, h, w):
+    rng = np.random.default_rng([k, h, w])
+    c = 2
+    pcb = random_masked_kernel(c, k, orientation, rng)
+    perm = canonical_permutation(orientation, h, w, c)
+    want = build_conv_matrix(pcb, h, w)[np.ix_(perm, perm)]
+    got = _conv_matrix(pcb, raster_positions(orientation, h, w))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    y = rng.normal(size=(2, c, h, w))
+    wf = pcb_invert_wavefront(y, pcb)
+    assert np.max(np.abs(dense_invert(y, pcb) - wf)) < 1e-12
+    assert np.max(np.abs(pcb_invert_reference(y, pcb) - wf)) < 1e-12
+
+
 @pytest.mark.parametrize("orientation", list(Orientation))
 def test_conv_matrix_triangular_and_det_one(orientation):
     rng = np.random.default_rng(2)
     c, h, w, k = 3, 4, 5, 3
     pcb = random_masked_kernel(c, k, orientation, rng)
     m = build_conv_matrix(pcb, h, w)
-    perm = canonical_permutation(orientation, h, w, c)
-    mc = m[np.ix_(perm, perm)]
+    mc = _conv_matrix(pcb, raster_positions(orientation, h, w))  # the matrix dense_invert solves
     assert np.array_equal(np.triu(mc, 1), np.zeros_like(mc))
     assert np.array_equal(np.diag(mc), np.ones(h * w * c))
     assert np.prod(np.diag(mc)) == 1.0
