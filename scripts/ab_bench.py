@@ -4,8 +4,11 @@
     python3 scripts/ab_bench.py BASE_REV [--first-seed 71] [--pairs 10]
                                 [--workload NAME ...]
 
-The committed files of BASE_REV are exported (``git archive``) into a
-temporary directory.  For every workload in BENCHMARK.json (or each one
+The committed files of BASE_REV and the working tree, as ``git add -A``
+would stage it (untracked files in, git-ignored files out), are each
+exported with ``git archive`` into a temporary directory, and each run
+moves its side's copy to one shared path, so the two sides differ only in
+their files.  For every workload in BENCHMARK.json (or each one
 named by a repeated ``--workload``) and every seed,
 the benchmark command runs once on each tree with ``--trace 0`` for
 BENCHMARK.json's ``run_seconds``;
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -46,14 +50,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def export_rev(rev: str, dest: Path) -> None:
-    """Write the committed files of ``rev`` into the directory ``dest``."""
-    git = subprocess.Popen(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+def export_rev(rev: str, dest: Path, repo: Path = ROOT) -> None:
+    """Write the files of ``rev``, a commit or tree of ``repo``, into the
+    new directory ``dest``."""
+    dest.mkdir()
+    git = subprocess.Popen(["git", "-C", str(repo), "archive", "--format=tar", rev],
                            stdout=subprocess.PIPE)
     tar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=git.stdout)
     git.stdout.close()
     if git.wait() or tar.returncode:
         raise RuntimeError(f"could not export {rev}")
+
+
+def worktree_tree(index: Path, repo: Path = ROOT) -> str:
+    """The id of a tree object holding the working tree of ``repo`` as
+    ``git add -A`` would stage it.  It is staged in the new index file
+    ``index``, so the repository's own index is left alone."""
+    env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+    for args in (["read-tree", "HEAD"], ["add", "-A"]):
+        subprocess.run(["git", "-C", str(repo), *args], env=env, check=True)
+    out = subprocess.run(["git", "-C", str(repo), "write-tree"], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.strip()
 
 
 def run_once(command, tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -116,15 +134,24 @@ def main(argv=None) -> int:
     ok = True
     rows = []
     with tempfile.TemporaryDirectory(prefix="ab-bench-") as tmp:
-        export_rev(args.base, Path(tmp))
-        trees = {"base": Path(tmp), "change": ROOT}
+        trees = {"base": Path(tmp, "base"), "change": Path(tmp, "change")}
+        export_rev(args.base, trees["base"])
+        export_rev(worktree_tree(Path(tmp, "index")), trees["change"])
+        # every run moves its side's tree here, so the two sides also share
+        # their path: in an A/A run, two paths alone set peak_rss_mb ~0.1 MB
+        # apart in every pair
+        live = Path(tmp, "tree")
         for workload in workloads:
             runs = {"base": [], "change": []}
             for i in range(args.pairs):
                 seed = args.first_seed + i
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
-                    res = run_once(bench["command"], trees[side], workload, seed, seconds)
+                    trees[side].rename(live)
+                    try:
+                        res = run_once(bench["command"], live, workload, seed, seconds)
+                    finally:
+                        live.rename(trees[side])
                     runs[side].append(res)
                     ok &= bool(res["correct"])
                     values = " ".join(

@@ -370,8 +370,9 @@ def main(argv=None) -> int:
             args = apply_config_file(args, subparsers[args.command], argv)
         _require_positive(args, "workers")
         return COMMANDS[args.command](args)
-    except (FincError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FincError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the array it could not allocate
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -2,12 +2,19 @@
 
 Every layer implements:
 
+* ``named_params(prefix)``, yielding its (name, Param) pairs,
 * ``forward(x) -> (y, logdet_total, cache)`` where logdet_total is the
   log |det J| summed over the batch,
 * ``inverse(y) -> x``,
 * ``backward(grad_y, grad_logdet, cache) -> grad_x`` which accumulates
   parameter gradients.  ``grad_logdet`` is dLoss/d(logdet_total), a
   scalar (-1/N for the mean negative log likelihood).
+
+Two layers are exceptions.  ``Squeeze`` has no parameters and no cache:
+its static ``forward(x) -> y`` and ``backward(grad_y) -> grad_x`` take
+the array alone.  ``Split`` drops a latent: ``forward(x) -> (x1, z,
+logp_total, cache)``, ``inverse(x1, z) -> x``, and ``backward`` takes
+dLoss/d(logp_total) where the others take grad_logdet.
 
 Gradients are analytic; no autodiff framework is involved.  The finite
 difference suite in the tests is the correctness oracle.
@@ -460,45 +467,6 @@ class UnitLayer:
         return gx
 
 
-class FlowStep:
-    """Unit, actnorm, 1x1 convolution, coupling, in that order."""
-
-    def __init__(self, c, k, hidden, rng, dtype, identity_init=False, data_init=True):
-        self.unit = UnitLayer(c, k, rng, dtype, identity_init)
-        self.actnorm = ActNorm(c, dtype, data_init=data_init and not identity_init)
-        self.inv1x1 = Inv1x1(c, rng, dtype, identity_init=identity_init)
-        self.coupling = Coupling(c, hidden, rng, dtype)
-
-    def named_params(self, prefix):
-        yield from self.unit.named_params(f"{prefix}.unit")
-        yield from self.actnorm.named_params(f"{prefix}.actnorm")
-        yield from self.inv1x1.named_params(f"{prefix}.inv1x1")
-        yield from self.coupling.named_params(f"{prefix}.coupling")
-
-    def forward(self, x):
-        total = 0.0
-        caches = []
-        for layer in (self.unit, self.actnorm, self.inv1x1, self.coupling):
-            x, ld, cache = layer.forward(x)
-            total += ld
-            caches.append(cache)
-        return x, total, caches
-
-    def inverse(self, y):
-        y = self.coupling.inverse(y)
-        y = self.inv1x1.inverse(y)
-        y = self.actnorm.inverse(y)
-        return self.unit.inverse(y)
-
-    def backward(self, gy, gld, caches):
-        caches = _need(caches)
-        for layer, cache in zip(
-            (self.coupling, self.inv1x1, self.actnorm, self.unit), reversed(caches)
-        ):
-            gy = layer.backward(gy, gld, cache)
-        return gy
-
-
 # ---------------------------------------------------------------------------
 # batch chunks of the inverse flow
 
@@ -593,7 +561,13 @@ class ModelConfig:
 class FlowModel:
     """Multi-scale stack: (squeeze, K steps, split) x (L-1), then squeeze
     and K steps; the final activation and every split half are Gaussian
-    latents."""
+    latents.
+
+    ``layers`` holds the whole stack as one list of (name, layer) pairs in
+    forward order.  A squeeze is ``(None, Squeeze)``.  Step s of level l is
+    four entries named ``level{l}.step{s}.unit``, ``.actnorm``, ``.inv1x1``
+    and ``.coupling``, and a split is ``level{l}.split``; each name
+    prefixes its layer's parameter names."""
 
     def __init__(self, config: ModelConfig, rng=None, identity_init=False, data_init=True):
         config.validate()
@@ -602,28 +576,24 @@ class FlowModel:
         self.dtype = dtype
         if rng is None:
             rng = np.random.default_rng(0)
-        c = config.channels
-        self.levels = []
+        c, k = config.channels, config.kernel_size
+        self.layers = []
         try:
             for lvl in range(config.levels):
                 c *= 4
-                steps = [
-                    FlowStep(
-                        c,
-                        config.kernel_size,
-                        config.hidden,
-                        rng,
-                        dtype,
-                        identity_init=identity_init,
-                        data_init=data_init,
-                    )
-                    for _ in range(config.steps)
-                ]
-                split = None
+                self.layers.append((None, Squeeze))
+                for step in range(config.steps):
+                    name = f"level{lvl}.step{step}"
+                    # built in this order: the rng draws follow it
+                    self.layers += [
+                        (f"{name}.unit", UnitLayer(c, k, rng, dtype, identity_init)),
+                        (f"{name}.actnorm", ActNorm(c, dtype, data_init and not identity_init)),
+                        (f"{name}.inv1x1", Inv1x1(c, rng, dtype, identity_init)),
+                        (f"{name}.coupling", Coupling(c, config.hidden, rng, dtype)),
+                    ]
                 if lvl < config.levels - 1:
-                    split = Split(c, rng, dtype)
+                    self.layers.append((f"level{lvl}.split", Split(c, rng, dtype)))
                     c //= 2
-                self.levels.append((steps, split))
         except (MemoryError, ValueError) as exc:
             # a ValueError is only mapped when it is numpy's refusal of an
             # array size that overflows the address space
@@ -638,11 +608,9 @@ class FlowModel:
     # -- parameters ---------------------------------------------------------
 
     def named_params(self):
-        for li, (steps, split) in enumerate(self.levels):
-            for si, step in enumerate(steps):
-                yield from step.named_params(f"level{li}.step{si}")
-            if split is not None:
-                yield from split.named_params(f"level{li}.split")
+        for name, layer in self.layers:
+            if name is not None:
+                yield from layer.named_params(name)
         yield "prior.mean", self.prior_mean
         yield "prior.log_sd", self.prior_log_sd
 
@@ -652,9 +620,9 @@ class FlowModel:
 
     def unit_params(self):
         """(param, orientation) pairs for every masked kernel."""
-        for steps, _ in self.levels:
-            for step in steps:
-                yield from zip(step.unit.kernels, UNIT_ORIENTATIONS)
+        for _, layer in self.layers:
+            if isinstance(layer, UnitLayer):
+                yield from zip(layer.kernels, UNIT_ORIENTATIONS)
 
     # -- forward / inverse --------------------------------------------------
 
@@ -678,19 +646,17 @@ class FlowModel:
         logp = 0.0
         latents = []
         caches = []
-        for steps, split in self.levels:
-            h = Squeeze.forward(h)
-            step_caches = []
-            for step in steps:
-                h, ld, cache = step.forward(h)
-                logdet += ld
-                step_caches.append(cache)
-            split_cache = None
-            if split is not None:
-                h, z, lp, split_cache = split.forward(h)
+        for _, layer in self.layers:
+            if layer is Squeeze:
+                h, cache = Squeeze.forward(h), None
+            elif isinstance(layer, Split):
+                h, z, lp, cache = layer.forward(h)
                 logp += lp
                 latents.append(z)
-            caches.append((step_caches, split_cache))
+            else:
+                h, ld, cache = layer.forward(h)
+                logdet += ld
+            caches.append(cache)
         mean = self.prior_mean.value[None, :, None, None]
         log_sd = self.prior_log_sd.value[None, :, None, None]
         logp += float(gaussian_logp(h, mean, log_sd).sum())
@@ -759,16 +725,15 @@ class FlowModel:
         def run(lo, hi):
             x = h[lo:hi]
             chunk_zs = iter(zs)
-            for steps, split in reversed(self.levels):
-                if split is not None:
+            for _, layer in reversed(self.layers):
+                if isinstance(layer, Split):
                     z = next(chunk_zs)
                     z = None if z is None else z[lo:hi]
                     if temperature is not None:
-                        z = split.sample_z(x, temperature, z)
-                    x = split.inverse(x, z)
-                for step in reversed(steps):
-                    x = step.inverse(x)
-                x = Squeeze.inverse(x)
+                        z = layer.sample_z(x, temperature, z)
+                    x = layer.inverse(x, z)
+                else:
+                    x = layer.inverse(x)
             return x
 
         return _run_chunks(len(h), workers, run)
@@ -788,12 +753,9 @@ class FlowModel:
         g = gld * dz
         self.prior_mean.grad += gld * dmean.sum(axis=(0, 2, 3))
         self.prior_log_sd.grad += gld * dlog_sd.sum(axis=(0, 2, 3))
-        for (steps, split), (step_caches, split_cache) in zip(
-            reversed(self.levels), reversed(caches)
-        ):
-            if split is not None:
-                g = split.backward(g, gld, split_cache)
-            for step, cache in zip(reversed(steps), reversed(step_caches)):
-                g = step.backward(g, gld, cache)
-            g = Squeeze.backward(g)
+        for (_, layer), cache in zip(reversed(self.layers), reversed(caches)):
+            if layer is Squeeze:
+                g = Squeeze.backward(g)
+            else:
+                g = layer.backward(g, gld, cache)
         return g

@@ -1,7 +1,8 @@
-"""The verdict logic and option parsing of scripts/ab_bench.py.  Nothing
-here runs the benchmark."""
+"""The verdict logic, option parsing and tree export of
+scripts/ab_bench.py.  Nothing here runs the benchmark."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,35 @@ def test_unknown_workload_is_an_argument_error(ab, capsys):
         ab.main(["HEAD", "--workload", "nope"])
     assert exc.value.code == 2
     assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_worktree_export_holds_what_add_all_would_stage(ab, tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "tracked.txt").write_text("committed\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "tracked.txt").write_text("edited\n")
+    (repo / "untracked.txt").write_text("new\n")
+    (repo / "ignored.txt").write_text("build output\n")
+
+    tree = ab.worktree_tree(tmp_path / "index", repo)
+    ab.export_rev(tree, tmp_path / "change", repo)
+    ab.export_rev("HEAD", tmp_path / "base", repo)
+
+    assert (tmp_path / "change" / "tracked.txt").read_text() == "edited\n"
+    assert (tmp_path / "change" / "untracked.txt").read_text() == "new\n"
+    assert not (tmp_path / "change" / "ignored.txt").exists()
+    assert (tmp_path / "base" / "tracked.txt").read_text() == "committed\n"
+    assert not (tmp_path / "base" / "untracked.txt").exists()
+    # the repository's own index is untouched: nothing is staged
+    status = subprocess.run(["git", "-C", str(repo), "status", "--porcelain"],
+                            check=True, capture_output=True, text=True).stdout
+    assert sorted(status.splitlines()) == [" M tracked.txt", "?? untracked.txt"]

@@ -301,6 +301,30 @@ def test_cli_train_huge_hidden_is_an_error(tmp_path, capsys, monkeypatch, refusa
     assert not (tmp_path / "x").exists()
 
 
+# 10^15 images of 4x4x4 or more are petabytes, beyond any address space: numpy
+# refuses the first array with a MemoryError before anything is allocated
+HUGE_COUNT = str(10**15)
+
+
+@pytest.mark.parametrize("command", ["sample", "bench"])
+def test_cli_out_of_memory_is_an_error(tmp_path, capsys, command):
+    if command == "sample":
+        from fincflow.train import checkpoint_save
+
+        model = FlowModel(ModelConfig(1, 8, 8, levels=1, steps=1, hidden=4),
+                          identity_init=True, data_init=False)
+        checkpoint_save(model, tmp_path / "m.ckpt")
+        argv = ["sample", str(tmp_path / "m.ckpt"), "--count", HUGE_COUNT,
+                "--out", str(tmp_path / "s")]
+    else:
+        argv = ["bench", "--batch", HUGE_COUNT, "--sizes", "8", "--strategies", "wavefront"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate"), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "s").exists()
+
+
 def _unreadable_config(tmp_path):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes("# caf\u00e9\nsize = 8\n".encode("latin-1"))

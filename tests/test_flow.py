@@ -431,15 +431,15 @@ def test_totals_match_manual_layer_walk():
     h = x
     ld_sum = 0.0
     lp_sum = 0.0
-    for steps, split in model.levels:
-        h = Squeeze.forward(h)
-        for step in steps:
-            for layer in (step.unit, step.actnorm, step.inv1x1, step.coupling):
-                h, ld, _ = layer.forward(h)
-                ld_sum += ld
-        if split is not None:
-            h, _, lp, _ = split.forward(h)
+    for _, layer in model.layers:
+        if layer is Squeeze:
+            h = Squeeze.forward(h)
+        elif isinstance(layer, Split):
+            h, _, lp, _ = layer.forward(h)
             lp_sum += lp
+        else:
+            h, ld, _ = layer.forward(h)
+            ld_sum += ld
     lp_sum += float(
         gaussian_logp(
             h,

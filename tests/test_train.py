@@ -335,9 +335,9 @@ def test_checkpoint_resume_deterministic(tmp_path):
     assert metrics[0] == metrics[1]
 
 
-def arange_model(dtype):
-    """L=1, K=1 model whose every parameter is an arange ramp."""
-    cfg = ModelConfig(4, 4, 4, levels=1, steps=1, kernel_size=3, hidden=4, dtype=dtype)
+def arange_model(dtype, levels=1, steps=1):
+    """Model on 4x4x4 inputs whose every parameter is an arange ramp."""
+    cfg = ModelConfig(4, 4, 4, levels=levels, steps=steps, kernel_size=3, hidden=4, dtype=dtype)
     model = FlowModel(cfg, identity_init=True, data_init=False)
     for i, (_, p) in enumerate(model.named_params()):
         ramp = (np.arange(p.value.size) + i) / 8 - 1
@@ -345,21 +345,30 @@ def arange_model(dtype):
     return model
 
 
-# sha256 and length of arange_model's checkpoint: files already written
-# must keep loading, so these bytes never change
+# sha256 and length of arange_model's checkpoint per (dtype, levels, steps):
+# files already written must keep loading, so these bytes never change.  The
+# L=2, K=2 model pins the parameter order across steps, levels and a split.
 CKPT_GOLDEN = {
-    "f32": ("48c75042ae0b562d774476533bb2276b89b0e77a34858a41a9d7dedc8291ce35", 7995),
-    "f64": ("be2f70b51f96eb669d75df54f644c9f5048b8b8c4a902bd34e4c1848e7d69aca", 15195),
+    ("f32", 1, 1): ("48c75042ae0b562d774476533bb2276b89b0e77a34858a41a9d7dedc8291ce35", 7995),
+    ("f64", 1, 1): ("be2f70b51f96eb669d75df54f644c9f5048b8b8c4a902bd34e4c1848e7d69aca", 15195),
+    ("f32", 2, 2): ("8318a87bbf62072f172cf696b155f066a134fba60534a51477c7d56d4679f1c7", 63390),
+    ("f64", 2, 2): ("f852cd9233a059b0766c866355c1b592680942f374adc38639c638261d3af901", 123870),
 }
 
 
-@pytest.mark.parametrize("dtype", ["f32", "f64"])
-def test_checkpoint_golden_bytes(tmp_path, dtype):
-    model = arange_model(dtype)
+@pytest.mark.parametrize(
+    "dtype, levels, steps",
+    [
+        pytest.param(*case, id=case[0] if case[1:] == (1, 1) else "{}-L{}K{}".format(*case))
+        for case in CKPT_GOLDEN
+    ],
+)
+def test_checkpoint_golden_bytes(tmp_path, dtype, levels, steps):
+    model = arange_model(dtype, levels, steps)
     path = tmp_path / "golden.ckpt"
     checkpoint_save(model, path)
     data = path.read_bytes()
-    assert (hashlib.sha256(data).hexdigest(), len(data)) == CKPT_GOLDEN[dtype]
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == CKPT_GOLDEN[dtype, levels, steps]
     loaded = checkpoint_load(path)
     for (name, p), (name_back, p_back) in zip(
         model.named_params(), loaded.named_params(), strict=True
