@@ -11,6 +11,7 @@ never allocation or setup.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -249,7 +250,7 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         note = f"  ({self.note})" if self.note else ""
-        return f"{status}  {self.name:<34} max_err={self.max_err:.3e}  limit={self.limit:.3e}{note}"
+        return f"{status}  {self.name:<44} max_err={self.max_err:.3e}  limit={self.limit:.3e}{note}"
 
 
 def _max_abs(a) -> float:
@@ -266,7 +267,8 @@ def run_checks(
     """Round-trip, dense-oracle, triangularity, phase-count, determinism,
     and gradient checks at a configurable size: a table of (name, limit,
     error function) rows over one shared set-up."""
-    from .flow import CHUNK_IMAGES, FlowModel, ModelConfig
+    from .flow import CHUNK_IMAGES, TRAIN_CHUNK_IMAGES, FlowModel, ModelConfig
+    from .train import Adam, TrainConfig, train_step
 
     rng = np.random.default_rng(seed)
     pcb = random_masked_kernel(channels, k, Orientation.TL, rng)
@@ -326,6 +328,23 @@ def run_checks(
         base = draw(1)
         return max(_max_abs(draw(nw) - base) for nw in (2, 4, 8))
 
+    def train_determinism():
+        # a train step runs chunks of at most TRAIN_CHUNK_IMAGES: 9 fill 8 lanes
+        c = model.config
+        shape = (8 * TRAIN_CHUNK_IMAGES + 1, c.channels, c.height, c.width)
+        batch = np.random.default_rng(seed + 5).integers(0, 256, shape, dtype=np.uint8)
+
+        def step(nw):
+            m = copy.deepcopy(model)
+            cfg = TrainConfig(seed=seed, workers=nw)
+            out = train_step(m, batch, cfg, Adam(m.named_params(), cfg.lr),
+                             np.random.default_rng(seed + 6))
+            values = [p.value.ravel() for _, p in m.named_params()]
+            return np.concatenate([[out["nll"], out["grad_norm"]], *values])
+
+        base = step(1)
+        return max(_max_abs(step(nw) - base) for nw in (2, 4, 8))
+
     pcb32 = MaskedKernel(pcb.weights.astype(np.float32), Orientation.TL)
     st = InvertStats()
     pcb_invert_wavefront(y, pcb, stats=st)
@@ -337,6 +356,7 @@ def run_checks(
         ("barrier phases == H+W-1", 0.0, lambda: abs(st.phases - (2 * size - 1))),
         ("per-element madds <= k^2*C", 0.0, lambda: max(0, st.max_element_madds - k * k * channels)),
         ("worker-count determinism", 0.0, worker_determinism),
+        ("train step bit-identical at workers 1/2/4/8", 0.0, train_determinism),
         ("unit round trip f64", 1e-9, unit_round_trip),
         ("flow gradient check", 1e-3, lambda: _model_gradient_error(model, seed + 3)),
     )

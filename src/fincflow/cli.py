@@ -4,7 +4,8 @@ Options can come from a ``--config FILE`` of ``key = value`` lines
 ('#' starts a comment; keys use the flag spelling with underscores).
 Command-line flags override file values; unknown keys are rejected.
 FINCFLOW_WORKERS sets the default of --workers, the thread count of
-sample and reconstruct; a value that is not an integer >= 1 is an error.
+train, sample and reconstruct; a value that is not an integer >= 1 is an
+error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .errors import BadFormat, DimsMismatch, FincError, TooLargeForDense
+from .errors import BadFormat, DimsMismatch, FincError, TooLargeForDense, is_size_refusal
 from .flow import FlowModel, ModelConfig
 from .images import pixels_u8, read_image, write_image
 from .tensor import read_tensor, write_tensor
@@ -52,8 +53,9 @@ def build_parser():
         "--workers",
         type=int,
         default=_default_workers(),
-        help="threads that run a sample or reconstruct batch through the inverse "
-        "flow, in chunks of at most 32 images; check, bench and train only "
+        help="threads that run a batch in chunks: a train step's forward and "
+        "backward in chunks of at most 16 images, a sample or reconstruct batch "
+        "through the inverse flow in chunks of at most 32; check and bench only "
         "validate it; must be >= 1, and results are identical for any value "
         "(default: FINCFLOW_WORKERS or 1)",
     )
@@ -190,6 +192,7 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size,
         epochs=args.epochs,
         seed=args.seed,
+        workers=args.workers,
     )
     ds = _load_dataset(args)
     c, h, w = ds.dims
@@ -370,9 +373,13 @@ def main(argv=None) -> int:
             args = apply_config_file(args, subparsers[args.command], argv)
         _require_positive(args, "workers")
         return COMMANDS[args.command](args)
-    except (FincError, OSError, MemoryError) as exc:
-        # numpy's MemoryError names the array it could not allocate
-        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+    except (FincError, OSError, MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not is_size_refusal(exc):
+            raise
+        # numpy's MemoryError names the array it could not allocate; its
+        # ValueError only says that the size is too large
+        prefix = "cannot allocate an array: " if isinstance(exc, ValueError) else ""
+        print(f"error: {prefix}{exc or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -63,3 +63,16 @@ class NonFiniteLoss(FincError):
 
 class DimsMismatch(FincError):
     """Data dimensions do not match the model configuration."""
+
+
+# numpy's ValueError messages for an array whose size overflows the address
+# space; numpy raises them before it allocates anything
+_SIZE_REFUSALS = ("array is too big", "iterator is too large")
+
+
+def is_size_refusal(exc: BaseException) -> bool:
+    """Whether ``exc`` says that an array cannot be allocated: a
+    MemoryError, or numpy's ValueError refusing the array's size."""
+    if isinstance(exc, ValueError):
+        return any(message in str(exc) for message in _SIZE_REFUSALS)
+    return isinstance(exc, MemoryError)

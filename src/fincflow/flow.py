@@ -6,15 +6,19 @@ Every layer implements:
 * ``forward(x) -> (y, logdet_total, cache)`` where logdet_total is the
   log |det J| summed over the batch,
 * ``inverse(y) -> x``,
-* ``backward(grad_y, grad_logdet, cache) -> grad_x`` which accumulates
-  parameter gradients.  ``grad_logdet`` is dLoss/d(logdet_total), a
-  scalar (-1/N for the mean negative log likelihood).
+* ``backward(grad_y, grad_logdet, cache, grads=PARAM_GRADS) -> grad_x``
+  which adds its parameter gradients into ``grads``, a map from each
+  Param to its gradient array; the default map is every Param's own
+  ``grad``.  ``grad_logdet`` is dLoss/d(logdet_total), a scalar (-1/N
+  for the mean negative log likelihood).
 
 Two layers are exceptions.  ``Squeeze`` has no parameters and no cache:
 its static ``forward(x) -> y`` and ``backward(grad_y) -> grad_x`` take
 the array alone.  ``Split`` drops a latent: ``forward(x) -> (x1, z,
 logp_total, cache)``, ``inverse(x1, z) -> x``, and ``backward`` takes
-dLoss/d(logp_total) where the others take grad_logdet.
+dLoss/d(logp_total) where the others take grad_logdet.  ``Conv2d``, a
+part of the coupling and prior nets, returns its parameter gradients
+from ``backward(grad_y, x)`` and its caller adds them to the map.
 
 Gradients are analytic; no autodiff framework is involved.  The finite
 difference suite in the tests is the correctness oracle.
@@ -37,6 +41,7 @@ from .errors import (
     ShapeMismatch,
     SingularWeight,
     ZeroScale,
+    is_size_refusal,
 )
 from .invconv import (
     FincFlowUnit,
@@ -65,6 +70,19 @@ class Param:
 
     def zero_grad(self):
         self.grad[...] = 0.0
+
+
+class _ParamGrads:
+    """The gradient map that reads and writes each Param's own ``grad``."""
+
+    def __getitem__(self, p):
+        return p.grad
+
+    def __setitem__(self, p, grad):
+        p.grad = grad
+
+
+PARAM_GRADS = _ParamGrads()
 
 
 def _need(cache):
@@ -135,7 +153,10 @@ class Conv2d:
     The padded operand of each call is written into a per-thread
     workspace plane whose zero border is kept between calls, instead of a
     fresh ``np.zeros`` array.  A plane is only read inside the call that
-    fills it: outputs and gradients are always new arrays."""
+    fills it: outputs and gradients are always new arrays.
+
+    ``backward(gy, x)`` returns (grad_x, grad_w, grad_b) and leaves the
+    accumulation to the caller, whose gradient map it does not know."""
 
     def __init__(self, c_in, c_out, k, rng=None, dtype=np.float64, zero_init=False):
         if zero_init:
@@ -162,12 +183,20 @@ class Conv2d:
         return y
 
     def backward(self, gy, x):
-        self.w.grad += correlate_wgrad(gy, self._padded(x), self.k)
-        self.b.grad += gy.sum(axis=(0, 2, 3))
+        gw = correlate_wgrad(gy, self._padded(x), self.k)
+        gb = gy.sum(axis=(0, 2, 3))
         # input gradient: same-padded correlation with the channel-transposed,
         # spatially flipped kernel
         kt = self.w.value.swapaxes(0, 1)[:, :, ::-1, ::-1]
-        return correlate(self._padded(gy), kt)
+        return correlate(self._padded(gy), kt), gw, gb
+
+
+def _conv_backward(conv, gy, x, grads):
+    """``conv.backward`` with its parameter gradients added to ``grads``."""
+    gx, gw, gb = conv.backward(gy, x)
+    grads[conv.w] += gw
+    grads[conv.b] += gb
+    return gx
 
 
 class CouplingNet:
@@ -175,7 +204,9 @@ class CouplingNet:
 
     The rectifiers work in place on the conv outputs, which are fresh
     arrays, so the forward cache holds only (x, a1, a2); ``a > 0`` is the
-    rectifier's mask, the same as ``h > 0`` for every h, NaN included."""
+    rectifier's mask, the same as ``h > 0`` for every h, NaN included.  The
+    backward masks the conv input gradients in place, as they are fresh
+    arrays too."""
 
     def __init__(self, c_in, c_out, hidden, rng, dtype):
         self.conv1 = Conv2d(c_in, hidden, 3, rng, dtype)
@@ -195,13 +226,13 @@ class CouplingNet:
         out = self.conv3.forward(a2)
         return out, (x, a1, a2)
 
-    def backward(self, gout, cache):
+    def backward(self, gout, cache, grads):
         x, a1, a2 = cache
-        ga2 = self.conv3.backward(gout, a2)
-        gh2 = ga2 * (a2 > 0)
-        ga1 = self.conv2.backward(gh2, a1)
-        gh1 = ga1 * (a1 > 0)
-        return self.conv1.backward(gh1, x)
+        ga2 = _conv_backward(self.conv3, gout, a2, grads)
+        np.multiply(ga2, a2 > 0, out=ga2)
+        ga1 = _conv_backward(self.conv2, ga2, a1, grads)
+        np.multiply(ga1, a1 > 0, out=ga1)
+        return _conv_backward(self.conv1, ga1, x, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +281,11 @@ class ActNorm:
         s = self.scale.value[None, :, None, None]
         return (y - self.bias.value[None, :, None, None]) / s
 
-    def backward(self, gy, gld, cache):
+    def backward(self, gy, gld, cache, grads=PARAM_GRADS):
         x, (n, _, h, w) = _need(cache)
         gx = gy * self.scale.value[None, :, None, None]
-        self.scale.grad += (gy * x).sum(axis=(0, 2, 3)) + gld * n * h * w / self.scale.value
-        self.bias.grad += gy.sum(axis=(0, 2, 3))
+        grads[self.scale] += (gy * x).sum(axis=(0, 2, 3)) + gld * n * h * w / self.scale.value
+        grads[self.bias] += gy.sum(axis=(0, 2, 3))
         return gx
 
 
@@ -296,13 +327,13 @@ class Inv1x1:
         winv = np.linalg.inv(self.w.value.astype(np.float64)).astype(y.dtype)
         return (winv @ y.reshape(n, c, h * w)).reshape(n, c, h, w)
 
-    def backward(self, gy, gld, cache):
+    def backward(self, gy, gld, cache, grads=PARAM_GRADS):
         x, (n, c, h, w) = _need(cache)
         gy = gy.reshape(n, c, h * w)
         gx = (self.w.value.T @ gy).reshape(n, c, h, w)
-        self.w.grad += (gy @ x.reshape(n, c, h * w).transpose(0, 2, 1)).sum(axis=0)
+        grads[self.w] += (gy @ x.reshape(n, c, h * w).transpose(0, 2, 1)).sum(axis=0)
         winv_t = np.linalg.inv(self.w.value.astype(np.float64)).T
-        self.w.grad += gld * n * h * w * winv_t.astype(self.w.grad.dtype)
+        grads[self.w] += gld * n * h * w * winv_t.astype(self.w.value.dtype)
         return gx
 
 
@@ -342,7 +373,7 @@ class Coupling:
         s, t, _ = self._scale_shift(y1)
         return np.concatenate([y1, (y2 - t) / s], axis=1)
 
-    def backward(self, gy, gld, cache):
+    def backward(self, gy, gld, cache, grads=PARAM_GRADS):
         x2, s, net_cache = _need(cache)
         gy1 = gy[:, : self.c_half]
         gy2 = gy[:, self.c_half :]
@@ -350,7 +381,7 @@ class Coupling:
         gs = gy2 * x2 + gld / s
         graw = gs * s * (1.0 - 0.5 * s)
         gout = np.concatenate([gy2, graw], axis=1)
-        gx1 = self.net.backward(gout, net_cache)
+        gx1 = self.net.backward(gout, net_cache, grads)
         return np.concatenate([gy1 + gx1, gx2], axis=1)
 
 
@@ -420,12 +451,12 @@ class Split:
         eps = noise.astype(x1.dtype)
         return (mean + np.exp(log_sd) * temperature * eps).astype(x1.dtype)
 
-    def backward(self, g_x1, g_logp, cache):
+    def backward(self, g_x1, g_logp, cache, grads=PARAM_GRADS):
         x1, z, mean, log_sd = _need(cache)
         dz, dmean, dlog_sd = gaussian_logp_grads(z, mean, log_sd)
         gz = g_logp * dz
         gout = np.concatenate([g_logp * dmean, g_logp * dlog_sd], axis=1)
-        g_x1_prior = self.prior.backward(gout, x1)
+        g_x1_prior = _conv_backward(self.prior, gout, x1, grads)
         return np.concatenate([g_x1 + g_x1_prior, gz], axis=1)
 
 
@@ -459,16 +490,16 @@ class UnitLayer:
     def inverse(self, y):
         return unit_invert(y, self.unit())
 
-    def backward(self, gy, gld, cache):
+    def backward(self, gy, gld, cache, grads=PARAM_GRADS):
         (x,) = _need(cache)
         gx, gws = unit_backward(gy, x, self.unit())
         for p, gw in zip(self.kernels, gws):
-            p.grad += gw
+            grads[p] += gw
         return gx
 
 
 # ---------------------------------------------------------------------------
-# batch chunks of the inverse flow
+# batch chunks
 
 
 # Most images in one chunk of a sample or inverse batch.  The unit inverse
@@ -476,6 +507,11 @@ class UnitLayer:
 # column count, so chunk bounds depend on the batch size alone: any worker
 # count gives the same bits.
 CHUNK_IMAGES = 32
+# Most images in one chunk of a training batch.  A chunk's forward and
+# backward finish before its lane starts the next chunk, so a lane holds
+# one chunk's activations at a time; as above, the bounds depend on the
+# batch size alone.
+TRAIN_CHUNK_IMAGES = 16
 # Most pool threads ever started, so that a large ``workers`` never starts
 # one thread per chunk.
 _MAX_POOL_THREADS = 32
@@ -500,18 +536,17 @@ def _chunk_pool():
         return _pool
 
 
-def _run_chunks(n, workers, run):
-    """``run(lo, hi)`` on the near-equal chunks of at most CHUNK_IMAGES of
-    a batch of ``n``, concatenated in batch order.
+def _run_chunks(n, workers, run, most=CHUNK_IMAGES):
+    """``run(lo, hi)`` on the near-equal chunks of at most ``most`` images
+    of a batch of ``n``; returns the results in chunk order.
 
     Chunk i goes to lane i mod L, L = min(workers, chunks).  The calling
     thread runs lane 0, so its first chunk reuses the caller's workspace
-    planes; pool threads run the others.  Every lane finishes before an
-    error from any of them is raised."""
-    parts = np.array_split(np.arange(n), -(-n // CHUNK_IMAGES))
+    planes; pool threads run the others, and at one lane the pool is not
+    made.  Every lane finishes before an error from any of them is
+    raised."""
+    parts = np.array_split(np.arange(n), -(-n // most))
     bounds = [(int(p[0]), int(p[-1]) + 1) for p in parts]
-    if len(bounds) == 1:
-        return run(0, n)
     lanes = min(workers, len(bounds), _MAX_POOL_THREADS + 1)
 
     def lane(i):
@@ -524,7 +559,7 @@ def _run_chunks(n, workers, run):
         for f in futures:
             f.exception()  # waits for the lane without raising its error
     done += [f.result() for f in futures]
-    return np.concatenate([done[i % lanes][i // lanes] for i in range(len(bounds))])
+    return [done[i % lanes][i // lanes] for i in range(len(bounds))]
 
 
 @dataclass
@@ -595,9 +630,7 @@ class FlowModel:
                     self.layers.append((f"level{lvl}.split", Split(c, rng, dtype)))
                     c //= 2
         except (MemoryError, ValueError) as exc:
-            # a ValueError is only mapped when it is numpy's refusal of an
-            # array size that overflows the address space
-            if isinstance(exc, ValueError) and "array is too big" not in str(exc):
+            if not is_size_refusal(exc):
                 raise
             raise ModelTooLarge(f"cannot allocate the parameters of {config}") from exc
         self.final_c = c
@@ -640,7 +673,12 @@ class FlowModel:
     def forward(self, x):
         """Returns (latents, logdet_total, logp_total) and stores the
         backward cache.  Totals are summed over the batch, in nats."""
-        x = self._check_input(x)
+        latents, logdet, logp, self._cache = self._forward(self._check_input(x))
+        return latents, logdet, logp
+
+    def _forward(self, x):
+        """``forward`` of a checked batch, returning its backward cache as
+        a fourth value instead of storing it."""
         h = x
         logdet = 0.0
         logp = 0.0
@@ -661,8 +699,7 @@ class FlowModel:
         log_sd = self.prior_log_sd.value[None, :, None, None]
         logp += float(gaussian_logp(h, mean, log_sd).sum())
         latents.append(h)
-        self._cache = (caches, h)
-        return latents, logdet, logp
+        return latents, logdet, logp, (caches, h)
 
     def latent_shapes(self, n):
         shapes = []
@@ -736,7 +773,8 @@ class FlowModel:
                     x = layer.inverse(x)
             return x
 
-        return _run_chunks(len(h), workers, run)
+        parts = _run_chunks(len(h), workers, run)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     # -- backward -----------------------------------------------------------
 
@@ -745,17 +783,60 @@ class FlowModel:
         into every parameter; returns the input gradient."""
         if self._cache is None:
             raise MissingCache("model backward requires a prior forward call")
-        caches, h_final = self._cache
-        gld = -1.0 / h_final.shape[0]
+        return self._backward(self._cache, -1.0 / self._cache[1].shape[0], PARAM_GRADS)
+
+    def _backward(self, cache, gld, grads):
+        """Backward from a ``_forward`` cache with grad_logdet ``gld``:
+        adds every parameter gradient into the map ``grads`` and returns
+        the input gradient."""
+        caches, h_final = cache
         mean = self.prior_mean.value[None, :, None, None]
         log_sd = self.prior_log_sd.value[None, :, None, None]
         dz, dmean, dlog_sd = gaussian_logp_grads(h_final, mean, log_sd)
         g = gld * dz
-        self.prior_mean.grad += gld * dmean.sum(axis=(0, 2, 3))
-        self.prior_log_sd.grad += gld * dlog_sd.sum(axis=(0, 2, 3))
+        grads[self.prior_mean] += gld * dmean.sum(axis=(0, 2, 3))
+        grads[self.prior_log_sd] += gld * dlog_sd.sum(axis=(0, 2, 3))
         for (_, layer), cache in zip(reversed(self.layers), reversed(caches)):
             if layer is Squeeze:
                 g = Squeeze.backward(g)
             else:
-                g = layer.backward(g, gld, cache)
+                g = layer.backward(g, gld, cache, grads)
         return g
+
+    def forward_backward(self, x, workers=1):
+        """Forward and backward of the mean NLL -(logp+logdet)/N of the
+        batch ``x``: returns (logdet_total, logp_total) and sets every
+        parameter's ``grad`` to the batch's gradient.
+
+        The batch runs in near-equal chunks of at most TRAIN_CHUNK_IMAGES on
+        up to ``workers`` (>= 1) threads, as ``sample`` does.  Each chunk
+        adds its gradients into a map of its own with grad_logdet -1/N; the
+        maps and the totals are summed in chunk order once every chunk has
+        finished, so the result is the same for any worker count.  While an
+        ActNorm awaits its data-dependent init, the batch is one chunk, so
+        the init sees all of it.  A cache left by ``forward`` is dropped:
+        the step that uses these gradients moves the parameters it holds."""
+        require_workers(workers)
+        x = self._check_input(x)
+        self._cache = None
+        n = x.shape[0]
+        params = [p for _, p in self.named_params()]
+
+        def run(lo, hi):
+            _, logdet, logp, cache = self._forward(x[lo:hi])
+            grads = {p: np.zeros_like(p.value) for p in params}
+            self._backward(cache, -1.0 / n, grads)
+            return logdet, logp, grads
+
+        pending = any(isinstance(layer, ActNorm) and layer.pending_init
+                      for _, layer in self.layers)
+        parts = _run_chunks(n, workers, run, n if pending else TRAIN_CHUNK_IMAGES)
+        logdet, logp, total = parts[0]
+        for chunk_logdet, chunk_logp, grads in parts[1:]:
+            logdet += chunk_logdet
+            logp += chunk_logp
+            for p in params:
+                total[p] += grads[p]
+        for p in params:
+            p.grad = total[p]
+        return logdet, logp

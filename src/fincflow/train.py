@@ -13,7 +13,7 @@ import numpy as np
 from .errors import BadFormat, BadMagic, DimsMismatch, NonFiniteLoss, ShapeMismatch
 from .flow import FlowModel, ModelConfig
 from .images import pixels_u8, read_image
-from .invconv import MaskedKernel, apply_anchor_mask, mask_anchor_gradient
+from .invconv import MaskedKernel, apply_anchor_mask, mask_anchor_gradient, require_workers
 from .tensor import CODE_DTYPES, DTYPE_CODES, pack_record, read_tensor, unpack_record
 
 LOG2_E = 1.0 / math.log(2.0)
@@ -28,6 +28,7 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 1
     seed: int = 0
+    workers: int = 1  # threads that run a step's batch chunks
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -42,6 +43,7 @@ class TrainConfig:
             raise BadFormat(
                 f"batch size and epochs must be >= 1, got {self.batch_size} and {self.epochs}"
             )
+        require_workers(self.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +200,14 @@ def iter_batches(dataset: Dataset, batch_size: int, rng: np.random.Generator):
 
 
 def train_step(model: FlowModel, batch_u8: np.ndarray, cfg: TrainConfig, opt: Adam, rng):
-    """forward -> NLL -> backward -> anchor-mask grads -> clip -> Adam ->
-    re-apply anchor mask to the weights.  Returns a metrics dict."""
+    """forward and backward in batch chunks on ``cfg.workers`` threads
+    (``FlowModel.forward_backward``) -> NLL -> anchor-mask grads -> clip ->
+    Adam -> re-apply anchor mask to the weights.  Returns a metrics dict,
+    the same for any worker count."""
     dims = model.config.channels, model.config.height, model.config.width
     x = dequantize(batch_u8, rng, model.dtype)
-    n = x.shape[0]
-    _, logdet, logp = model.forward(x)
-    loss = nll(logp, logdet, n, dims)
-    model.zero_grad()
-    model.backward()
+    logdet, logp = model.forward_backward(x, cfg.workers)
+    loss = nll(logp, logdet, x.shape[0], dims)
     for p, orientation in model.unit_params():
         p.grad = mask_anchor_gradient(p.grad, orientation)
     if cfg.grad_clip is not None:
@@ -224,7 +225,9 @@ def train_step(model: FlowModel, batch_u8: np.ndarray, cfg: TrainConfig, opt: Ad
 def train(model: FlowModel, dataset: Dataset, cfg: TrainConfig, metrics_out=None):
     """Run the full loop; optionally stream CSV rows to ``metrics_out``.
 
-    Deterministic for a fixed seed and dataset; runs on the calling thread.
+    Deterministic for a fixed seed and dataset, and the same for any
+    ``cfg.workers``: each step's batch chunks run on the calling thread and
+    up to ``cfg.workers`` - 1 pool threads.
     """
     if dataset.dims != (model.config.channels, model.config.height, model.config.width):
         raise DimsMismatch(

@@ -114,11 +114,12 @@ _CHECK_ROWS = (
     ("barrier phases == H+W-1", "0.000e+00"),
     ("per-element madds <= k^2*C", "0.000e+00"),
     ("worker-count determinism", "0.000e+00"),
+    ("train step bit-identical at workers 1/2/4/8", "0.000e+00"),
     ("unit round trip f64", "1.000e-09"),
     ("flow gradient check", "1.000e-03"),
 )
 _CHECK_LINE = re.compile(
-    r"(PASS|FAIL)  (.{34}) max_err=\S+  limit=(\S+)(?:  \((.*)\))?"
+    r"(PASS|FAIL)  (.{44}) max_err=\S+  limit=(\S+)(?:  \((.*)\))?"
 )
 
 
@@ -306,23 +307,46 @@ def test_cli_train_huge_hidden_is_an_error(tmp_path, capsys, monkeypatch, refusa
 HUGE_COUNT = str(10**15)
 
 
-@pytest.mark.parametrize("command", ["sample", "bench"])
-def test_cli_out_of_memory_is_an_error(tmp_path, capsys, command):
+def _huge_argv(tmp_path, command, count):
     if command == "sample":
         from fincflow.train import checkpoint_save
 
         model = FlowModel(ModelConfig(1, 8, 8, levels=1, steps=1, hidden=4),
                           identity_init=True, data_init=False)
         checkpoint_save(model, tmp_path / "m.ckpt")
-        argv = ["sample", str(tmp_path / "m.ckpt"), "--count", HUGE_COUNT,
+        return ["sample", str(tmp_path / "m.ckpt"), "--count", count,
                 "--out", str(tmp_path / "s")]
-    else:
-        argv = ["bench", "--batch", HUGE_COUNT, "--sizes", "8", "--strategies", "wavefront"]
-    assert main(argv) == 1
+    return ["bench", "--batch", count, "--sizes", "8", "--strategies", "wavefront"]
+
+
+@pytest.mark.parametrize("command", ["sample", "bench"])
+def test_cli_out_of_memory_is_an_error(tmp_path, capsys, command):
+    assert main(_huge_argv(tmp_path, command, HUGE_COUNT)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate"), err
     assert "Traceback" not in err
     assert not (tmp_path / "s").exists()
+
+
+# At 10^18 images numpy refuses the size itself with a ValueError ("iterator
+# is too large" in sample, "array is too big" in bench), again before it
+# allocates anything
+@pytest.mark.parametrize("command", ["sample", "bench"])
+def test_cli_size_refused_by_numpy_is_an_error(tmp_path, capsys, command):
+    assert main(_huge_argv(tmp_path, command, str(10**18))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot allocate an array: "), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "s").exists()
+
+
+def test_cli_passes_other_value_errors_through(monkeypatch):
+    def fault(args):
+        raise ValueError("some other fault")
+
+    monkeypatch.setitem(fincflow.cli.COMMANDS, "check", fault)
+    with pytest.raises(ValueError, match="some other fault"):
+        main(["check"])
 
 
 def _unreadable_config(tmp_path):

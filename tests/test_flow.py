@@ -551,10 +551,10 @@ def test_conv2d_results_never_share_memory_with_the_workspace():
         conv = Conv2d(3, 5, k, rng)
         x = rng.normal(size=(2, 3, 6, 7))
         y = conv.forward(x)
-        gx = conv.backward(rng.normal(size=y.shape), x)
+        gx, gw, gb = conv.backward(rng.normal(size=y.shape), x)
         planes = list(flow._WORKSPACE.planes.values())
         assert planes
-        for out in (y, gx):
+        for out in (y, gx, gw, gb):
             assert not any(np.shares_memory(out, plane) for plane in planes), k
 
 

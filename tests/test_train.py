@@ -1,15 +1,30 @@
+import copy
 import hashlib
 import io
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fincflow.train
-from fincflow.errors import BadFormat, BadMagic, DimsMismatch, FincError, NonFiniteLoss
-from fincflow.flow import FlowModel, ModelConfig
+from fincflow.cli import main
+from fincflow.errors import (
+    BadFormat,
+    BadMagic,
+    DimsMismatch,
+    FincError,
+    NonFiniteLoss,
+    ShapeMismatch,
+    ZeroScale,
+)
+from fincflow.flow import ActNorm, FlowModel, ModelConfig
 from fincflow.images import read_image, write_image
 from fincflow.invconv import anchor_position
 from fincflow.tensor import write_tensor
@@ -281,6 +296,145 @@ def test_train_progress_on_blobs():
     first = history[0]["bpd"]
     last = history[199]["bpd"]
     assert first - last >= 0.5, (first, last)
+
+
+# ---------------------------------------------------------------------------
+# batch chunks of a train step
+
+
+def step_state(model, metrics):
+    """Every array a train step leaves: its metrics, each gradient and
+    each parameter."""
+    arrays = [np.array([metrics["nll"], metrics["bpd"], metrics["grad_norm"]])]
+    for _, p in model.named_params():
+        arrays += [p.grad, p.value]
+    return arrays
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def three_steps(n, dtype, workers):
+    model = small_model(seed=30, dtype=dtype, steps=2)
+    batches = synthetic_blobs(count=3 * n, seed=31).images.reshape(3, n, 4, 8, 8)
+    cfg = TrainConfig(batch_size=n, seed=32, workers=workers)
+    opt = Adam(model.named_params(), cfg.lr)
+    rng = np.random.default_rng(cfg.seed)
+    return [step_state(model, train_step(model, batch, cfg, opt, rng)) for batch in batches]
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("n", [1, 16, 17, 32, 33])
+def test_train_steps_are_identical_for_any_worker_count(n, dtype):
+    # the first step initialises ActNorm on the whole batch; the next two
+    # run in chunks of at most 16 images
+    want = three_steps(n, dtype, workers=1)
+    for workers in (2, 4, 8):
+        got = three_steps(n, dtype, workers)
+        for step in range(3):
+            assert_bit_identical(got[step], want[step])
+
+
+def test_train_lanes_share_no_state_under_fast_thread_switching():
+    # 129 images are 9 chunks on 8 lanes, with the interpreter switching
+    # threads every 10 microseconds
+    want = three_steps(129, "f32", workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = three_steps(129, "f32", workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    for step in range(3):
+        assert_bit_identical(got[step], want[step])
+
+
+def test_train_config_rejects_bad_workers():
+    for workers in (0, -1, 1.5, True):
+        with pytest.raises(ShapeMismatch):
+            TrainConfig(workers=workers)
+
+
+def test_train_step_error_in_a_pool_lane_reaches_the_caller(monkeypatch):
+    model = small_model(seed=33, data_init=False)
+    twin = copy.deepcopy(model)
+    batch = synthetic_blobs(count=32, seed=34).images
+    cfg = TrainConfig(batch_size=32, seed=35, workers=2)
+    opt = Adam(model.named_params(), cfg.lr)
+
+    caller = threading.current_thread()
+    forward = ActNorm.forward
+
+    def fails_off_the_caller(self, x):
+        if threading.current_thread() is not caller:
+            raise ZeroScale("raised in a pool lane")
+        return forward(self, x)
+
+    monkeypatch.setattr(ActNorm, "forward", fails_off_the_caller)
+    with pytest.raises(ZeroScale, match="raised in a pool lane"):
+        train_step(model, batch, cfg, opt, np.random.default_rng(36))
+    monkeypatch.undo()
+    # the failed step moved no parameter, and the next one runs as on a
+    # model that never failed
+    got = step_state(model, train_step(model, batch, cfg, opt, np.random.default_rng(37)))
+    twin_opt = Adam(twin.named_params(), cfg.lr)
+    want = step_state(twin, train_step(twin, batch, cfg, twin_opt, np.random.default_rng(37)))
+    assert_bit_identical(got, want)
+
+
+def test_data_init_step_runs_the_whole_batch_as_one_chunk():
+    # 33 images would be three chunks, but ActNorm's data-dependent init
+    # must see them all: the init and the gradients match one unchunked
+    # forward and backward
+    model = small_model(seed=38)
+    twin = copy.deepcopy(model)
+    x = dequantize(synthetic_blobs(count=33, seed=39).images, np.random.default_rng(40))
+    logdet, logp = model.forward_backward(x, workers=2)
+    twin.zero_grad()
+    _, twin_logdet, twin_logp = twin.forward(x)
+    twin.backward()
+    assert (logdet, logp) == (twin_logdet, twin_logp)
+    for (name, p), (_, q) in zip(model.named_params(), twin.named_params()):
+        assert_bit_identical([p.value, p.grad], [q.value, q.grad])
+    assert not any(isinstance(layer, ActNorm) and layer.pending_init
+                   for _, layer in model.layers)
+
+
+def test_one_lane_train_step_never_starts_the_pool():
+    code = """if True:
+        import sys
+        import numpy as np
+        import fincflow.flow
+        from fincflow.train import Adam, TrainConfig, synthetic_blobs, train_step
+        model = fincflow.flow.FlowModel(fincflow.flow.ModelConfig(4, 8, 8, 2, 1, hidden=8))
+        cfg = TrainConfig(batch_size=33)
+        opt = Adam(model.named_params(), cfg.lr)
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            train_step(model, synthetic_blobs(33).images, cfg, opt, rng)
+        assert fincflow.flow._pool is None
+        assert "concurrent.futures" not in sys.modules
+    """
+    src = str(Path(fincflow.train.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_cli_train_writes_the_same_files_at_any_worker_count(tmp_path):
+    # 80 images in batches of 40: the second step runs three chunks
+    files = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        argv = ["train", "--size", "8", "--count", "80", "--batch-size", "40",
+                "--hidden", "8", "--workers", workers, "--out", str(out)]
+        assert main(argv) == 0
+        files.append([(out / name).read_bytes() for name in ("metrics.csv", "model.ckpt")])
+    assert files[0] == files[1]
+    assert len(files[0][0].splitlines()) == 3
 
 
 def test_nll_finite_at_init_for_in_range_data():
