@@ -381,9 +381,7 @@ def _model_gradient_error(model, seed, eps=1e-4, floor=1e-6) -> float:
         _, logdet, logp = model.forward(x)
         return -(logp + logdet) / n
 
-    model.zero_grad()
-    loss()
-    model.backward()
+    model.backward(x)
     worst = 0.0
     for _, p in model.named_params():
         analytic = p.grad.copy()

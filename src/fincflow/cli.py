@@ -11,7 +11,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -222,8 +221,6 @@ def _requantize(x: np.ndarray) -> np.ndarray:
 
 
 def cmd_sample(args) -> int:
-    if not (math.isfinite(args.temperature) and args.temperature >= 0):
-        raise BadFormat(f"temperature must be finite and >= 0, got {args.temperature}")
     _require_positive(args, "count")
     model = checkpoint_load(args.checkpoint)
     rng = np.random.default_rng(args.seed)

@@ -6,11 +6,11 @@ Every layer implements:
 * ``forward(x) -> (y, logdet_total, cache)`` where logdet_total is the
   log |det J| summed over the batch,
 * ``inverse(y) -> x``,
-* ``backward(grad_y, grad_logdet, cache, grads=PARAM_GRADS) -> grad_x``
-  which adds its parameter gradients into ``grads``, a map from each
-  Param to its gradient array; the default map is every Param's own
-  ``grad``.  ``grad_logdet`` is dLoss/d(logdet_total), a scalar (-1/N
-  for the mean negative log likelihood).
+* ``backward(grad_y, grad_logdet, cache, grads) -> grad_x`` which adds
+  its parameter gradients into ``grads``, a map from each Param to its
+  gradient array that the caller owns; there is no default map.
+  ``grad_logdet`` is dLoss/d(logdet_total), a scalar (-1/N for the mean
+  negative log likelihood).
 
 Two layers are exceptions.  ``Squeeze`` has no parameters and no cache:
 its static ``forward(x) -> y`` and ``backward(grad_y) -> grad_x`` take
@@ -60,29 +60,14 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 class Param:
-    """A learnable array with its gradient accumulator."""
+    """A learnable array and its gradient: None until
+    ``FlowModel.backward`` sets it."""
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value: np.ndarray):
         self.value = np.asarray(value)
-        self.grad = np.zeros_like(self.value)
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
-
-
-class _ParamGrads:
-    """The gradient map that reads and writes each Param's own ``grad``."""
-
-    def __getitem__(self, p):
-        return p.grad
-
-    def __setitem__(self, p, grad):
-        p.grad = grad
-
-
-PARAM_GRADS = _ParamGrads()
+        self.grad = None
 
 
 def _need(cache):
@@ -256,8 +241,6 @@ class ActNorm:
         std = x.std(axis=(0, 2, 3)) + np.asarray(1e-6, dtype=x.dtype)
         self.scale.value = (1.0 / std).astype(x.dtype)
         self.bias.value = (-mean / std).astype(x.dtype)
-        self.scale.grad = np.zeros_like(self.scale.value)
-        self.bias.grad = np.zeros_like(self.bias.value)
         self.pending_init = False
 
     def _check_scale(self):
@@ -281,7 +264,7 @@ class ActNorm:
         s = self.scale.value[None, :, None, None]
         return (y - self.bias.value[None, :, None, None]) / s
 
-    def backward(self, gy, gld, cache, grads=PARAM_GRADS):
+    def backward(self, gy, gld, cache, grads):
         x, (n, _, h, w) = _need(cache)
         gx = gy * self.scale.value[None, :, None, None]
         grads[self.scale] += (gy * x).sum(axis=(0, 2, 3)) + gld * n * h * w / self.scale.value
@@ -327,7 +310,7 @@ class Inv1x1:
         winv = np.linalg.inv(self.w.value.astype(np.float64)).astype(y.dtype)
         return (winv @ y.reshape(n, c, h * w)).reshape(n, c, h, w)
 
-    def backward(self, gy, gld, cache, grads=PARAM_GRADS):
+    def backward(self, gy, gld, cache, grads):
         x, (n, c, h, w) = _need(cache)
         gy = gy.reshape(n, c, h * w)
         gx = (self.w.value.T @ gy).reshape(n, c, h, w)
@@ -373,7 +356,7 @@ class Coupling:
         s, t, _ = self._scale_shift(y1)
         return np.concatenate([y1, (y2 - t) / s], axis=1)
 
-    def backward(self, gy, gld, cache, grads=PARAM_GRADS):
+    def backward(self, gy, gld, cache, grads):
         x2, s, net_cache = _need(cache)
         gy1 = gy[:, : self.c_half]
         gy2 = gy[:, self.c_half :]
@@ -451,7 +434,7 @@ class Split:
         eps = noise.astype(x1.dtype)
         return (mean + np.exp(log_sd) * temperature * eps).astype(x1.dtype)
 
-    def backward(self, g_x1, g_logp, cache, grads=PARAM_GRADS):
+    def backward(self, g_x1, g_logp, cache, grads):
         x1, z, mean, log_sd = _need(cache)
         dz, dmean, dlog_sd = gaussian_logp_grads(z, mean, log_sd)
         gz = g_logp * dz
@@ -490,7 +473,7 @@ class UnitLayer:
     def inverse(self, y):
         return unit_invert(y, self.unit())
 
-    def backward(self, gy, gld, cache, grads=PARAM_GRADS):
+    def backward(self, gy, gld, cache, grads):
         (x,) = _need(cache)
         gx, gws = unit_backward(gy, x, self.unit())
         for p, gw in zip(self.kernels, gws):
@@ -636,7 +619,6 @@ class FlowModel:
         self.final_c = c
         self.prior_mean = Param(np.zeros(c, dtype=dtype))
         self.prior_log_sd = Param(np.zeros(c, dtype=dtype))
-        self._cache = None
 
     # -- parameters ---------------------------------------------------------
 
@@ -646,10 +628,6 @@ class FlowModel:
                 yield from layer.named_params(name)
         yield "prior.mean", self.prior_mean
         yield "prior.log_sd", self.prior_log_sd
-
-    def zero_grad(self):
-        for _, p in self.named_params():
-            p.zero_grad()
 
     def unit_params(self):
         """(param, orientation) pairs for every masked kernel."""
@@ -671,14 +649,14 @@ class FlowModel:
         return x
 
     def forward(self, x):
-        """Returns (latents, logdet_total, logp_total) and stores the
-        backward cache.  Totals are summed over the batch, in nats."""
-        latents, logdet, logp, self._cache = self._forward(self._check_input(x))
+        """Returns (latents, logdet_total, logp_total); totals are summed
+        over the batch, in nats.  Keeps no activation."""
+        latents, logdet, logp, _ = self._forward(self._check_input(x))
         return latents, logdet, logp
 
     def _forward(self, x):
-        """``forward`` of a checked batch, returning its backward cache as
-        a fourth value instead of storing it."""
+        """``forward`` of a checked batch, with its backward cache as a
+        fourth value."""
         h = x
         logdet = 0.0
         logp = 0.0
@@ -778,13 +756,6 @@ class FlowModel:
 
     # -- backward -----------------------------------------------------------
 
-    def backward(self):
-        """Accumulate gradients of mean-per-sample NLL = -(logp+logdet)/N
-        into every parameter; returns the input gradient."""
-        if self._cache is None:
-            raise MissingCache("model backward requires a prior forward call")
-        return self._backward(self._cache, -1.0 / self._cache[1].shape[0], PARAM_GRADS)
-
     def _backward(self, cache, gld, grads):
         """Backward from a ``_forward`` cache with grad_logdet ``gld``:
         adds every parameter gradient into the map ``grads`` and returns
@@ -803,7 +774,7 @@ class FlowModel:
                 g = layer.backward(g, gld, cache, grads)
         return g
 
-    def forward_backward(self, x, workers=1):
+    def backward(self, x, workers=1):
         """Forward and backward of the mean NLL -(logp+logdet)/N of the
         batch ``x``: returns (logdet_total, logp_total) and sets every
         parameter's ``grad`` to the batch's gradient.
@@ -814,11 +785,9 @@ class FlowModel:
         maps and the totals are summed in chunk order once every chunk has
         finished, so the result is the same for any worker count.  While an
         ActNorm awaits its data-dependent init, the batch is one chunk, so
-        the init sees all of it.  A cache left by ``forward`` is dropped:
-        the step that uses these gradients moves the parameters it holds."""
+        the init sees all of it."""
         require_workers(workers)
         x = self._check_input(x)
-        self._cache = None
         n = x.shape[0]
         params = [p for _, p in self.named_params()]
 

@@ -190,9 +190,7 @@ def synthetic_blobs(count=512, channels=4, size=8, seed=0) -> Dataset:
 def iter_batches(dataset: Dataset, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(len(dataset))
     for start in range(0, len(dataset), batch_size):
-        idx = order[start : start + batch_size]
-        if idx.size:
-            yield dataset.images[idx]
+        yield dataset.images[order[start : start + batch_size]]
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +199,12 @@ def iter_batches(dataset: Dataset, batch_size: int, rng: np.random.Generator):
 
 def train_step(model: FlowModel, batch_u8: np.ndarray, cfg: TrainConfig, opt: Adam, rng):
     """forward and backward in batch chunks on ``cfg.workers`` threads
-    (``FlowModel.forward_backward``) -> NLL -> anchor-mask grads -> clip ->
+    (``FlowModel.backward``) -> NLL -> anchor-mask grads -> clip ->
     Adam -> re-apply anchor mask to the weights.  Returns a metrics dict,
     the same for any worker count."""
     dims = model.config.channels, model.config.height, model.config.width
     x = dequantize(batch_u8, rng, model.dtype)
-    logdet, logp = model.forward_backward(x, cfg.workers)
+    logdet, logp = model.backward(x, cfg.workers)
     loss = nll(logp, logdet, x.shape[0], dims)
     for p, orientation in model.unit_params():
         p.grad = mask_anchor_gradient(p.grad, orientation)
@@ -352,7 +350,6 @@ def checkpoint_load(path) -> FlowModel:
                     f"the model needs {shape} and {np.dtype(model.dtype)}"
                 )
             target.value = arr.reshape(shape)
-            target.grad = np.zeros_like(target.value)
     except (struct.error, UnicodeDecodeError) as exc:
         raise BadFormat(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
     if pos != len(data):

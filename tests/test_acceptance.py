@@ -204,9 +204,7 @@ def test_gradient_check():
         _, logdet, logp = model.forward(x)
         return -(logp + logdet) / n
 
-    model.zero_grad()
-    loss()
-    model.backward()
+    model.backward(x)
     eps = 1e-4
     worst = 0.0
     for name, p in model.named_params():

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -105,14 +106,15 @@ def test_actnorm_logdet_grad_matches_formula():
     an.scale.value[:] = np.array([0.5, 1.5, 2.0])
     x = np.random.default_rng(3).normal(size=(1, 3, 4, 5))
     _, _, cache = an.forward(x)
-    an.backward(np.zeros_like(x), 1.0, cache)
-    assert np.allclose(an.scale.grad, 4 * 5 / an.scale.value, rtol=1e-12)
+    grads = {an.scale: np.zeros(3), an.bias: np.zeros(3)}
+    an.backward(np.zeros_like(x), 1.0, cache, grads)
+    assert np.allclose(grads[an.scale], 4 * 5 / an.scale.value, rtol=1e-12)
 
 
 def test_backward_without_cache_raises():
     an = ActNorm(2, data_init=False)
     with pytest.raises(MissingCache):
-        an.backward(np.zeros((1, 2, 2, 2)), -1.0, None)
+        an.backward(np.zeros((1, 2, 2, 2)), -1.0, None, {})
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +388,23 @@ def test_model_config_rejects_unknown_dtype():
         ModelConfig(4, 8, 8, 1, 1, dtype="float64").validate()
 
 
+def test_forward_keeps_no_activation():
+    # a stored backward cache would hold every layer's input: ~1.2 MB here
+    model = toy_model(seed=21, levels=2, hw=16, hidden=64)
+    x = np.random.default_rng(22).normal(size=(4, 4, 16, 16))
+    model.forward(x)  # warm-up: workspace planes and cached masks
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        latents, _, _ = model.forward(x)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # one coupling-net activation: hidden 64 at 8x8 for 4 f64 images
+    activation = 4 * 64 * 8 * 8 * 8
+    assert kept - sum(z.nbytes for z in latents) < activation, kept
+
+
 def test_model_sample_rejects_bad_count_and_temperature_before_drawing():
     model = toy_model(seed=21, levels=2, hw=8)
     rng = np.random.default_rng(0)
@@ -461,9 +480,7 @@ def gradient_check(model, x, floor=1e-6, eps=1e-4):
         _, logdet, logp = model.forward(x)
         return -(logp + logdet) / n
 
-    model.zero_grad()
-    loss()
-    model.backward()
+    model.backward(x)
     worst = 0.0
     for name, p in model.named_params():
         analytic = p.grad.copy()
@@ -496,9 +513,7 @@ def test_anchor_gradient_zero_after_mask():
 
     model = toy_model(seed=25, hw=4, steps=1, hidden=4)
     x = np.random.default_rng(26).normal(size=(2, 4, 4, 4))
-    model.zero_grad()
-    model.forward(x)
-    model.backward()
+    model.backward(x)
     for p, orientation in model.unit_params():
         masked = mask_anchor_gradient(p.grad, orientation)
         ah, aw = anchor_position(orientation, p.grad.shape[2])
@@ -529,13 +544,12 @@ def in_fresh_thread(fn):
 
 
 def forward_backward(model, x):
-    """Every array a training step reads: latents, input gradient, the two
-    totals and every parameter gradient."""
-    model.zero_grad()
+    """Every array a training step makes: the latents and totals of
+    ``forward``, the totals of ``backward`` and every parameter gradient."""
     latents, logdet, logp = model.forward(x)
-    gx = model.backward()
-    grads = [p.grad.copy() for _, p in model.named_params()]
-    return [*latents, gx, np.array([logdet, logp]), *grads]
+    totals = model.backward(x)
+    grads = [p.grad for _, p in model.named_params()]
+    return [*latents, np.array([logdet, logp, *totals]), *grads]
 
 
 def assert_bit_identical(got, want):

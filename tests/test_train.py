@@ -393,15 +393,36 @@ def test_data_init_step_runs_the_whole_batch_as_one_chunk():
     model = small_model(seed=38)
     twin = copy.deepcopy(model)
     x = dequantize(synthetic_blobs(count=33, seed=39).images, np.random.default_rng(40))
-    logdet, logp = model.forward_backward(x, workers=2)
-    twin.zero_grad()
-    _, twin_logdet, twin_logp = twin.forward(x)
-    twin.backward()
+    logdet, logp = model.backward(x, workers=2)
+    _, twin_logdet, twin_logp, cache = twin._forward(x)
+    twin_grads = {q: np.zeros_like(q.value) for _, q in twin.named_params()}
+    twin._backward(cache, -1.0 / len(x), twin_grads)
     assert (logdet, logp) == (twin_logdet, twin_logp)
     for (name, p), (_, q) in zip(model.named_params(), twin.named_params()):
-        assert_bit_identical([p.value, p.grad], [q.value, q.grad])
+        assert_bit_identical([p.value, p.grad], [q.value, twin_grads[q]])
     assert not any(isinstance(layer, ActNorm) and layer.pending_init
                    for _, layer in model.layers)
+
+
+def test_param_grad_is_none_until_backward_sets_it(tmp_path):
+    model = small_model(seed=41)
+    assert all(p.grad is None for _, p in model.named_params())
+    x = dequantize(synthetic_blobs(count=4, seed=42).images, np.random.default_rng(43))
+    model.forward(x)  # the data-dependent init
+    checkpoint_save(model, tmp_path / "model.ckpt")
+    loaded = checkpoint_load(tmp_path / "model.ckpt")
+    for m in (model, loaded):
+        latents, _, _ = m.forward(x)
+        m.inverse(latents)
+        m.sample(2, 0.7, np.random.default_rng(44))
+        assert all(p.grad is None for _, p in m.named_params())
+        m.backward(x)
+        first = [p.grad for _, p in m.named_params()]
+        for (_, p), g in zip(m.named_params(), first):
+            assert g.shape == p.value.shape and g.dtype == p.value.dtype
+        # set, not accumulated: the same batch gives the same gradients
+        m.backward(x)
+        assert_bit_identical([p.grad for _, p in m.named_params()], first)
 
 
 def test_one_lane_train_step_never_starts_the_pool():
