@@ -2,7 +2,7 @@
 """Compare the benchmark of a base revision with the working tree.
 
     python3 scripts/ab_bench.py BASE_REV [--first-seed 71] [--pairs 10]
-                                [--workload NAME ...]
+                                [--workload NAME ...] [--json PATH]
 
 The committed files of BASE_REV and the working tree, as ``git add -A``
 would stage it (untracked files in, git-ignored files out), are each
@@ -30,7 +30,13 @@ metric's regression bound.  Its verdict is one of:
   bound and not every working-tree run beats every base run;
 * ``within bound`` otherwise.
 
-Failed operations and failed checks are counted per side.  The exit code
+Failed operations and failed checks are counted per side.  ``--json PATH``
+also writes the summary as data: the base revision and the commit it
+resolved to, the working tree's git tree id, the seeds, the seconds per
+run and, for every workload, each metric's medians, quartiles, wins and
+verdict, each side's failed and attempted operations, and every run's
+metrics, counts and ``context`` line (nproc, python, numpy, BLAS and the
+thread settings).  The exit code
 is 1 if any run failed a check, the working tree failed more operations
 than the base on any workload or any verdict is REGRESSION, else 0.
 BENCHMARK.json and perfbench/ are only read.
@@ -75,7 +81,8 @@ def worktree_tree(index: Path, repo: Path = ROOT) -> str:
 
 
 def run_once(command, tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``--trace 0`` run; returns its final JSON line."""
+    """One ``--trace 0`` run; returns its final JSON line, with the run's
+    ``context`` line (None if it printed none) under "context"."""
     args = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(args, cwd=tree, capture_output=True, text=True,
@@ -83,7 +90,10 @@ def run_once(command, tree: Path, workload: str, seed: int, seconds: float) -> d
     lines = out.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{workload} seed {seed} in {tree}: no output\n{out.stderr}")
-    return json.loads(lines[-1])
+    res = json.loads(lines[-1])
+    contexts = [line.split(" ", 1)[1] for line in lines if line.startswith("context ")]
+    res["context"] = json.loads(contexts[-1]) if contexts else None
+    return res
 
 
 def quartiles(values):
@@ -113,6 +123,74 @@ def verdict(base, change, better: str, bound: float, more_failed: bool):
     return (bmed, bq1, bq3, cmed, cq1, cq3, wins, -worse), label
 
 
+def summarize(runs: dict, metrics) -> dict:
+    """The summary of one workload: ``runs`` maps "base" and "change" to
+    each side's run results (``run_once``) in pair order, and ``metrics``
+    is BENCHMARK.json's end-to-end list."""
+    ops = {
+        side: {
+            "failed": sum(r["failed"] for r in rs),
+            "attempted": sum(r["attempted"] for r in rs),
+            "runs": len(rs),
+            "runs_failing_a_check": sum(not r["correct"] for r in rs),
+        }
+        for side, rs in runs.items()
+    }
+    more_failed = ops["change"]["failed"] > ops["base"]["failed"]
+    summary = {"ops": ops, "more_failed": more_failed, "metrics": {}}
+    for m in metrics:
+        base, change = ([r["metrics"][m["name"]]["value"] for r in runs[side]]
+                        for side in ("base", "change"))
+        (bmed, bq1, bq3, cmed, cq1, cq3, wins, rel), label = verdict(
+            base, change, m["better"], m["bound"], more_failed)
+        summary["metrics"][m["name"]] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "bound": m["bound"],
+            "base": {"median": bmed, "q1": bq1, "q3": bq3},
+            "change": {"median": cmed, "q1": cq1, "q3": cq3},
+            "wins": wins,
+            "pairs": len(base),
+            "better_by": rel,
+            "verdict": label,
+        }
+    return summary
+
+
+def summary_rows(workload: str, summary: dict) -> list[str]:
+    rows = [f"{workload:12s} {side:6s} failed ops {o['failed']}/{o['attempted']}, "
+            f"runs failing a check {o['runs_failing_a_check']}/{o['runs']}"
+            for side, o in summary["ops"].items()]
+    for name, m in summary["metrics"].items():
+        b, c = m["base"], m["change"]
+        rows.append(
+            f"{workload:12s} {name:12s} base {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
+            f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {m['unit']}"
+            f"  wins {m['wins']}/{m['pairs']}  better by {m['better_by']:+.1%}"
+            f" (bound {m['bound']:.0%})  {m['verdict']}"
+        )
+    return rows
+
+
+def run_record(side: str, seed: int, res: dict) -> dict:
+    """One run as the JSON report keeps it."""
+    return {
+        "side": side,
+        "seed": seed,
+        "correct": res["correct"],
+        "failed": res["failed"],
+        "attempted": res["attempted"],
+        "metrics": {name: m["value"] for name, m in res["metrics"].items()},
+        "context": res["context"],
+    }
+
+
+def git_out(*args, repo: Path = ROOT) -> str:
+    out = subprocess.run(["git", "-C", str(repo), *args], check=True,
+                         capture_output=True, text=True)
+    return out.stdout.strip()
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
@@ -123,6 +201,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", choices=names, metavar="NAME",
                     help=f"run only this workload (repeatable; one of {', '.join(names)}; "
                          "default: all)")
+    ap.add_argument("--json", metavar="PATH",
+                    help="also write the summary, every run and its context here")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
@@ -133,18 +213,27 @@ def main(argv=None) -> int:
 
     ok = True
     rows = []
+    report = {
+        "base": args.base,
+        "base_commit": git_out("rev-parse", "--verify", f"{args.base}^{{commit}}"),
+        "seeds": list(range(args.first_seed, args.first_seed + args.pairs)),
+        "run_seconds": seconds,
+        "command": bench["command"],
+        "workloads": {},
+    }
     with tempfile.TemporaryDirectory(prefix="ab-bench-") as tmp:
         trees = {"base": Path(tmp, "base"), "change": Path(tmp, "change")}
         export_rev(args.base, trees["base"])
-        export_rev(worktree_tree(Path(tmp, "index")), trees["change"])
+        report["change_tree"] = worktree_tree(Path(tmp, "index"))
+        export_rev(report["change_tree"], trees["change"])
         # every run moves its side's tree here, so the two sides also share
         # their path: in an A/A run, two paths alone set peak_rss_mb ~0.1 MB
         # apart in every pair
         live = Path(tmp, "tree")
         for workload in workloads:
             runs = {"base": [], "change": []}
-            for i in range(args.pairs):
-                seed = args.first_seed + i
+            records = []
+            for i, seed in enumerate(report["seeds"]):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
                     trees[side].rename(live)
@@ -153,6 +242,7 @@ def main(argv=None) -> int:
                     finally:
                         live.rename(trees[side])
                     runs[side].append(res)
+                    records.append(run_record(side, seed, res))
                     ok &= bool(res["correct"])
                     values = " ".join(
                         f"{m['name']}={res['metrics'][m['name']]['value']:.4g}" for m in metrics
@@ -160,31 +250,17 @@ def main(argv=None) -> int:
                     print(f"run {workload} seed={seed} {side:6s} {values} "
                           f"failed={res['failed']}/{res['attempted']} correct={res['correct']}",
                           flush=True)
-            failed = {}
-            for side, rs in runs.items():
-                failed[side] = sum(r["failed"] for r in rs)
-                attempted = sum(r["attempted"] for r in rs)
-                checks = sum(not r["correct"] for r in rs)
-                rows.append(f"{workload:12s} {side:6s} failed ops {failed[side]}/{attempted}, "
-                            f"runs failing a check {checks}/{len(rs)}")
-            more_failed = failed["change"] > failed["base"]
-            ok &= not more_failed
-            for m in metrics:
-                base = [r["metrics"][m["name"]]["value"] for r in runs["base"]]
-                change = [r["metrics"][m["name"]]["value"] for r in runs["change"]]
-                (bmed, bq1, bq3, cmed, cq1, cq3, wins, rel), label = verdict(
-                    base, change, m["better"], m["bound"], more_failed)
-                ok &= label != "REGRESSION"
-                rows.append(
-                    f"{workload:12s} {m['name']:12s} base {bmed:.4g} [{bq1:.4g}, {bq3:.4g}]"
-                    f"  change {cmed:.4g} [{cq1:.4g}, {cq3:.4g}] {m['unit']}"
-                    f"  wins {wins}/{len(base)}  better by {rel:+.1%}"
-                    f" (bound {m['bound']:.0%})  {label}"
-                )
+            summary = summarize(runs, metrics)
+            ok &= not summary["more_failed"]
+            ok &= all(m["verdict"] != "REGRESSION" for m in summary["metrics"].values())
+            rows += summary_rows(workload, summary)
+            report["workloads"][workload] = {**summary, "runs": records}
     print(f"\nbase {args.base} vs working tree, seeds {args.first_seed}.."
           f"{args.first_seed + args.pairs - 1}, {seconds:g} s per run; "
           "median [quartiles]")
     print("\n".join(rows))
+    if args.json:
+        Path(args.json).write_text(json.dumps(report, indent=1) + "\n")
     return 0 if ok else 1
 
 

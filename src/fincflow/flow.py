@@ -650,18 +650,18 @@ class FlowModel:
 
     def forward(self, x):
         """Returns (latents, logdet_total, logp_total); totals are summed
-        over the batch, in nats.  Keeps no activation."""
-        latents, logdet, logp, _ = self._forward(self._check_input(x))
-        return latents, logdet, logp
+        over the batch, in nats.  Holds one layer's backward cache at a
+        time besides the latents, and keeps none after it returns."""
+        return self._forward(self._check_input(x))
 
-    def _forward(self, x):
-        """``forward`` of a checked batch, with its backward cache as a
-        fourth value."""
+    def _forward(self, x, caches=None):
+        """``forward`` of a checked batch.  Given a list ``caches``, appends
+        each layer's backward cache to it; otherwise each cache is dropped
+        once the next layer has run."""
         h = x
         logdet = 0.0
         logp = 0.0
         latents = []
-        caches = []
         for _, layer in self.layers:
             if layer is Squeeze:
                 h, cache = Squeeze.forward(h), None
@@ -672,12 +672,13 @@ class FlowModel:
             else:
                 h, ld, cache = layer.forward(h)
                 logdet += ld
-            caches.append(cache)
+            if caches is not None:
+                caches.append(cache)
         mean = self.prior_mean.value[None, :, None, None]
         log_sd = self.prior_log_sd.value[None, :, None, None]
         logp += float(gaussian_logp(h, mean, log_sd).sum())
         latents.append(h)
-        return latents, logdet, logp, (caches, h)
+        return latents, logdet, logp
 
     def latent_shapes(self, n):
         shapes = []
@@ -756,11 +757,10 @@ class FlowModel:
 
     # -- backward -----------------------------------------------------------
 
-    def _backward(self, cache, gld, grads):
-        """Backward from a ``_forward`` cache with grad_logdet ``gld``:
-        adds every parameter gradient into the map ``grads`` and returns
-        the input gradient."""
-        caches, h_final = cache
+    def _backward(self, caches, h_final, gld, grads):
+        """Backward from the ``caches`` of a ``_forward`` and its final
+        latent ``h_final`` with grad_logdet ``gld``: adds every parameter
+        gradient into the map ``grads`` and returns the input gradient."""
         mean = self.prior_mean.value[None, :, None, None]
         log_sd = self.prior_log_sd.value[None, :, None, None]
         dz, dmean, dlog_sd = gaussian_logp_grads(h_final, mean, log_sd)
@@ -792,9 +792,10 @@ class FlowModel:
         params = [p for _, p in self.named_params()]
 
         def run(lo, hi):
-            _, logdet, logp, cache = self._forward(x[lo:hi])
+            caches = []
+            latents, logdet, logp = self._forward(x[lo:hi], caches)
             grads = {p: np.zeros_like(p.value) for p in params}
-            self._backward(cache, -1.0 / n, grads)
+            self._backward(caches, latents[-1], -1.0 / n, grads)
             return logdet, logp, grads
 
         pending = any(isinstance(layer, ActNorm) and layer.pending_init

@@ -214,8 +214,8 @@ def _backward(
     The input gradient is itself a ``_forward``: opposite corner, kernel
     transposed over channels and flipped over both spatial axes.  Each
     weight gradient is one ``correlate_wgrad`` of x zero-padded at its
-    group's own corner (written through the TL view of the padded plane),
-    cast to the kernel's dtype."""
+    group's own corner (written through the TL view of one padded plane
+    that all groups share), cast to the kernel's dtype."""
     adjoint = [
         MaskedKernel(kern.weights.swapaxes(0, 1)[:, :, ::-1, ::-1], _OPPOSITE[kern.orientation])
         for kern in kernels
@@ -223,9 +223,13 @@ def _backward(
     n, _, h, w = x.shape
     g_cnt, c, k = len(kernels), kernels[0].channels, kernels[0].k
     grads_w = []
+    xp = np.empty((n, c, h + k - 1, w + k - 1), dtype=x.dtype)
     for xg, gyg, kern in zip(np.split(x, g_cnt, 1), np.split(grad_y, g_cnt, 1), kernels):
-        xp = np.zeros((n, c, h + k - 1, w + k - 1), dtype=x.dtype)
-        _tl_view(xp, kern.orientation)[:, :, k - 1 :, k - 1 :] = _tl_view(xg, kern.orientation)
+        tl = _tl_view(xp, kern.orientation)
+        # the previous group's interior may cover this group's border
+        tl[:, :, : k - 1] = 0.0
+        tl[:, :, :, : k - 1] = 0.0
+        tl[:, :, k - 1 :, k - 1 :] = _tl_view(xg, kern.orientation)
         grads_w.append(correlate_wgrad(gyg, xp, k).astype(kern.weights.dtype, copy=False))
     return _forward(grad_y, adjoint), grads_w
 

@@ -54,7 +54,9 @@ def dequantize(x_u8: np.ndarray, rng: np.random.Generator, dtype=np.float32) -> 
     """(x + u)/256 with u ~ U[0,1); output in [0, 1)."""
     x = np.asarray(x_u8)
     noise = rng.random(x.shape)
-    return ((x.astype(np.float64) + noise) / 256.0).astype(dtype)
+    noise += x
+    noise /= 256.0
+    return noise.astype(dtype, copy=False)
 
 
 def nll(logp_total: float, logdet_total: float, n: int, dims, bins: int = 256) -> float:
@@ -184,7 +186,9 @@ def synthetic_blobs(count=512, channels=4, size=8, seed=0) -> Dataset:
         gains = rng.uniform(0.6, 1.0, channels)
         images[i] = gains[:, None, None] * base[None]
     images /= max(images.max(), 1e-9)
-    return Dataset(np.round(images * 255.0).astype(np.uint8))
+    images *= 255.0
+    np.round(images, out=images)
+    return Dataset(images.astype(np.uint8))
 
 
 def iter_batches(dataset: Dataset, batch_size: int, rng: np.random.Generator):

@@ -405,6 +405,44 @@ def test_forward_keeps_no_activation():
     assert kept - sum(z.nbytes for z in latents) < activation, kept
 
 
+def _second_forward_peak(model, x):
+    model.forward(x)  # warm-up: workspace planes and cached masks
+    tracemalloc.start()
+    try:
+        model.forward(x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_peak_does_not_grow_with_depth():
+    # a forward that held every layer's cache until it returned would
+    # peak ~4x higher at K=8 than at K=2
+    x = np.random.default_rng(23).normal(size=(8, 4, 16, 16))
+    shallow, deep = (
+        _second_forward_peak(toy_model(seed=24, levels=2, steps=k, hw=16, hidden=64), x)
+        for k in (2, 8)
+    )
+    assert deep < 1.1 * shallow, (shallow, deep)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_forward_matches_the_caching_forward(dtype):
+    model = toy_model(seed=25, dtype=dtype, levels=2, hw=8)
+    rng = np.random.default_rng(26)
+    for n in (1, 7, 65):
+        x = rng.normal(size=(n, 4, 8, 8)).astype(model.dtype)
+        latents, logdet, logp = model.forward(x)
+        caches = []
+        want_latents, want_logdet, want_logp = model._forward(x, caches)
+        assert len(caches) == len(model.layers)
+        assert (logdet, logp) == (want_logdet, want_logp)
+        assert len(latents) == len(want_latents)
+        for z, want in zip(latents, want_latents):
+            assert z.dtype == want.dtype
+            assert np.array_equal(z, want)
+
+
 def test_model_sample_rejects_bad_count_and_temperature_before_drawing():
     model = toy_model(seed=21, levels=2, hw=8)
     rng = np.random.default_rng(0)

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,21 @@ def test_adam_trajectories_deterministic():
 
 # ---------------------------------------------------------------------------
 # datasets
+
+
+def test_synthetic_blobs_bytes_and_peak_memory():
+    # the bytes are pinned; the float64 image set is scaled and rounded in
+    # place, so the peak stays near that one set (8.4 MB here), not three
+    tracemalloc.start()
+    try:
+        images = synthetic_blobs(256, 4, 32, 5).images
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hashlib.sha256(images.tobytes()).hexdigest() == (
+        "ecc08265d0472956bc94408d6638b2be8b1731bf9a8404a1e24cbb6e69112fae"
+    )
+    assert peak < 1.5 * images.size * 8, peak
 
 
 def test_synthetic_blobs_shape_and_determinism():
@@ -394,9 +410,10 @@ def test_data_init_step_runs_the_whole_batch_as_one_chunk():
     twin = copy.deepcopy(model)
     x = dequantize(synthetic_blobs(count=33, seed=39).images, np.random.default_rng(40))
     logdet, logp = model.backward(x, workers=2)
-    _, twin_logdet, twin_logp, cache = twin._forward(x)
+    caches = []
+    latents, twin_logdet, twin_logp = twin._forward(x, caches)
     twin_grads = {q: np.zeros_like(q.value) for _, q in twin.named_params()}
-    twin._backward(cache, -1.0 / len(x), twin_grads)
+    twin._backward(caches, latents[-1], -1.0 / len(x), twin_grads)
     assert (logdet, logp) == (twin_logdet, twin_logp)
     for (name, p), (_, q) in zip(model.named_params(), twin.named_params()):
         assert_bit_identical([p.value, p.grad], [q.value, twin_grads[q]])
