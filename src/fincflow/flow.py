@@ -94,15 +94,37 @@ def gaussian_logp_grads(z, mean, log_sd):
 
 
 # Padded planes a thread keeps for reuse; the least recently used goes
-# first.  The benchmark's train step touches 6 distinct planes, sample 4.
+# first.  The benchmark's train step touches 6 distinct planes, sample and
+# reconstruct 2 each besides the coupling nets' hidden buffer.
 _PLANE_SLOTS = 8
 
 
 class _PlaneWorkspace(threading.local):
-    """Per-thread zero-bordered planes keyed by (shape, dtype, pad)."""
+    """Per-thread zero-bordered planes keyed by (shape, dtype, pad), and
+    the bytes behind the hidden activations of a cacheless coupling net."""
 
     def __init__(self):
         self.planes = OrderedDict()
+        self.hidden = None
+
+    def hidden_arrays(self, shape, dtype, keep):
+        """An (N, C, H+2, W+2) plane and an (N, C, H, W) array for
+        ``shape`` = (N, C, H, W), back to back in one buffer of bytes that
+        every shape and dtype share, holding what the last call left.  With
+        ``keep`` the buffer is this thread's, grown to fit and kept for the
+        next call.  Without it this thread's buffer serves if it is large
+        enough, and otherwise a new one lives as long as the arrays, so a
+        forward pass never pins them."""
+        n, c, h, w = shape
+        plane = n * c * (h + 2) * (w + 2)
+        size = (plane + math.prod(shape)) * np.dtype(dtype).itemsize
+        buf = self.hidden
+        if buf is None or buf.nbytes < size:
+            buf = np.empty(size, dtype=np.uint8)
+            if keep:
+                self.hidden = buf
+        items = buf[:size].view(dtype)
+        return items[:plane].reshape(n, c, h + 2, w + 2), items[plane:].reshape(shape)
 
     def padded(self, x, p):
         """``x`` zero-padded by ``p`` on every side, in a reused buffer.
@@ -138,7 +160,9 @@ class Conv2d:
     The padded operand of each call is written into a per-thread
     workspace plane whose zero border is kept between calls, instead of a
     fresh ``np.zeros`` array.  A plane is only read inside the call that
-    fills it: outputs and gradients are always new arrays.
+    fills it: outputs and gradients are always new arrays, except that
+    ``forward_padded``, which takes an operand that is already padded,
+    writes into a caller's ``out``.
 
     ``backward(gy, x)`` returns (grad_x, grad_w, grad_b) and leaves the
     accumulation to the caller, whose gradient map it does not know."""
@@ -163,7 +187,12 @@ class Conv2d:
         return _WORKSPACE.padded(x, p)
 
     def forward(self, x):
-        y = correlate(self._padded(x), self.w.value)
+        return self.forward_padded(self._padded(x))
+
+    def forward_padded(self, xp, out=None):
+        """``forward`` of an input already zero-padded by k // 2, written
+        into ``out`` if given."""
+        y = correlate(xp, self.w.value, out)
         y += self.b.value[None, :, None, None]
         return y
 
@@ -187,11 +216,14 @@ def _conv_backward(conv, gy, x, grads):
 class CouplingNet:
     """3x3 conv, rectifier, 1x1 conv, rectifier, zero-initialized 3x3 conv.
 
-    The rectifiers work in place on the conv outputs, which are fresh
-    arrays, so the forward cache holds only (x, a1, a2); ``a > 0`` is the
-    rectifier's mask, the same as ``h > 0`` for every h, NaN included.  The
-    backward masks the conv input gradients in place, as they are fresh
-    arrays too."""
+    ``forward`` keeps a backward cache.  The rectifiers work in place on
+    the conv outputs, which are fresh arrays, so the cache holds only (x,
+    a1, a2); ``a > 0`` is the rectifier's mask, the same as ``h > 0`` for
+    every h, NaN included.  The backward masks the conv input gradients
+    in place, as they are fresh arrays too.
+
+    ``apply`` computes the same bits and keeps nothing: its hidden
+    activations live in the thread's workspace."""
 
     def __init__(self, c_in, c_out, hidden, rng, dtype):
         self.conv1 = Conv2d(c_in, hidden, 3, rng, dtype)
@@ -210,6 +242,34 @@ class CouplingNet:
         np.maximum(a2, 0.0, out=a2)
         out = self.conv3.forward(a2)
         return out, (x, a1, a2)
+
+    def apply(self, x, keep_buffer):
+        """``forward``'s output alone, from two arrays of the thread's
+        workspace (``_PlaneWorkspace.hidden_arrays``, which keeps their
+        buffer given ``keep_buffer``): a zero-bordered (N, hidden, H+2,
+        W+2) plane and an (N, hidden, H, W) array for a2.  conv1 writes a1
+        into the front of the plane's memory, conv2 reads it and writes a2,
+        and a2 is then copied into the plane's interior and its border
+        zeroed, so conv3 reads the plane as its padded input.  Every matmul
+        sees the operands of ``forward``.  conv2 in particular works on
+        a1's H*W pixels, not on the flattened plane: there its columns
+        would move and, with them, the bits of some BLAS kernels."""
+        n, _, h, w = x.shape
+        plane, a2 = _WORKSPACE.hidden_arrays(
+            (n, self.conv2.w.value.shape[0], h, w), x.dtype, keep_buffer
+        )
+        a1 = plane.reshape(-1)[: a2.size].reshape(a2.shape)
+        self.conv1.forward_padded(self.conv1._padded(x), a1)
+        np.maximum(a1, 0.0, out=a1)
+        self.conv2.forward_padded(a1, a2)
+        np.maximum(a2, 0.0, out=a2)
+        plane[:, :, 1:-1, 1:-1] = a2
+        # the whole border: a1 or another shape's arrays may have covered it
+        plane[:, :, 0] = 0.0
+        plane[:, :, -1] = 0.0
+        plane[:, :, 1:-1, 0] = 0.0
+        plane[:, :, 1:-1, -1] = 0.0
+        return self.conv3.forward_padded(plane)
 
     def backward(self, gout, cache, grads):
         x, a1, a2 = cache
@@ -334,27 +394,43 @@ class Coupling:
     def named_params(self, prefix):
         yield from self.net.named_params(f"{prefix}.net")
 
-    def _scale_shift(self, x1):
-        out, net_cache = self.net.forward(x1)
+    def _scale_shift(self, out):
         t = out[:, : self.c_half]
         raw = out[:, self.c_half :]
         s = 2.0 / (1.0 + np.exp(-raw))
-        return s, t, net_cache
+        return s, t
 
-    def forward(self, x):
+    def _output(self, x, s):
+        """A new array shaped like ``x`` whose first channel half is that
+        of ``x``, and a view of its second half for the caller to fill."""
+        out = np.empty(x.shape, np.result_type(x, s))
+        out[:, : self.c_half] = x[:, : self.c_half]
+        return out, out[:, self.c_half :]
+
+    def forward(self, x, cache=True):
+        """Without ``cache`` the net keeps nothing for a backward
+        (``CouplingNet.apply``) and the returned cache is None."""
         x1 = x[:, : self.c_half]
         x2 = x[:, self.c_half :]
-        s, t, net_cache = self._scale_shift(x1)
-        y2 = x2 * s + t
+        if cache:
+            out, net_cache = self.net.forward(x1)
+        else:
+            out = self.net.apply(x1, keep_buffer=False)
+        s, t = self._scale_shift(out)
+        y, y2 = self._output(x, s)
+        np.multiply(x2, s, out=y2)
+        y2 += t
         logdet = float(np.log(s).sum())
-        y = np.concatenate([x1, y2], axis=1)
-        return y, logdet, (x2, s, net_cache)
+        return y, logdet, (x2, s, net_cache) if cache else None
 
     def inverse(self, y):
         y1 = y[:, : self.c_half]
         y2 = y[:, self.c_half :]
-        s, t, _ = self._scale_shift(y1)
-        return np.concatenate([y1, (y2 - t) / s], axis=1)
+        s, t = self._scale_shift(self.net.apply(y1, keep_buffer=True))
+        x, x2 = self._output(y, s)
+        np.subtract(y2, t, out=x2)
+        x2 /= s
+        return x
 
     def backward(self, gy, gld, cache, grads):
         x2, s, net_cache = _need(cache)
@@ -414,7 +490,8 @@ class Split:
 
     def forward(self, x):
         x1 = x[:, : self.c_half]
-        z = x[:, self.c_half :]
+        # a copy: a view would keep all of x alive as long as the latent
+        z = x[:, self.c_half :].copy()
         mean, log_sd = self._prior_params(x1)
         logp = float(gaussian_logp(z, mean, log_sd).sum())
         return x1, z, logp, (x1, z, mean, log_sd)
@@ -650,14 +727,15 @@ class FlowModel:
 
     def forward(self, x):
         """Returns (latents, logdet_total, logp_total); totals are summed
-        over the batch, in nats.  Holds one layer's backward cache at a
-        time besides the latents, and keeps none after it returns."""
+        over the batch, in nats.  The coupling nets keep no backward cache
+        (``CouplingNet.apply``); every other layer's is held only until
+        the next layer has run, so none is kept after it returns."""
         return self._forward(self._check_input(x))
 
     def _forward(self, x, caches=None):
         """``forward`` of a checked batch.  Given a list ``caches``, appends
-        each layer's backward cache to it; otherwise each cache is dropped
-        once the next layer has run."""
+        each layer's backward cache to it; otherwise the couplings make
+        none and each other cache is dropped once the next layer has run."""
         h = x
         logdet = 0.0
         logp = 0.0
@@ -669,6 +747,9 @@ class FlowModel:
                 h, z, lp, cache = layer.forward(h)
                 logp += lp
                 latents.append(z)
+            elif isinstance(layer, Coupling):
+                h, ld, cache = layer.forward(h, cache=caches is not None)
+                logdet += ld
             else:
                 h, ld, cache = layer.forward(h)
                 logdet += ld

@@ -193,8 +193,8 @@ def _forward(x: np.ndarray, kernels: list[MaskedKernel]) -> np.ndarray:
     """Convolve channel group g of x with kernels[g] (all of one C and k).
     Each group is zero-padded in TL form straight from the TL view of its
     channel slice, correlated with its TL kernel (made contiguous: a
-    strided one can push matmul off BLAS and change the bits) and written
-    back through the TL view of its slice of the one output."""
+    strided one can push matmul off BLAS and change the bits), which
+    writes its rows through the TL view of its slice of the one output."""
     n, _, h, w = x.shape
     g_cnt, c, k = len(kernels), kernels[0].channels, kernels[0].k
     y = np.empty_like(x)
@@ -203,7 +203,7 @@ def _forward(x: np.ndarray, kernels: list[MaskedKernel]) -> np.ndarray:
     for xg, yg, kern in zip(np.split(x, g_cnt, 1), np.split(y, g_cnt, 1), kernels):
         xp[:, :, k - 1 :, k - 1 :] = _tl_view(xg, kern.orientation)
         kw = np.ascontiguousarray(_tl_view(kern.weights, kern.orientation), dtype=x.dtype)
-        _tl_view(yg, kern.orientation)[...] = correlate(xp, kw)
+        correlate(xp, kw, out=_tl_view(yg, kern.orientation))
     return y
 
 

@@ -140,27 +140,35 @@ def channel_concat(xs: list[np.ndarray]) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate(xs, axis=1))
 
 
-def correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
+def correlate(xp: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Valid cross-correlation of a padded (N, C, Hp, Wp) input with an
     (O, C, k, k) kernel: y[n,o,i,j] = sum_{c,p,q} w[o,c,p,q] xp[n,c,i+p,j+q],
-    shape (N, O, Hp-k+1, Wp-k+1).
+    shape (N, O, Hp-k+1, Wp-k+1).  It is written into ``out``, any array
+    or view of that shape, if given, else into a new array; either is
+    returned.
 
     Works on the flattened padded plane: output (i, j) is flat offset
     i*Wp+j and tap (p, q) reads p*Wp+q further on, so each tap's operand
     is a strided view of xp.  The k-1 columns between output rows are
-    computed and dropped.  The layout follows the channel counts:
+    computed and dropped when the rows are copied out.  The layout follows
+    the channel counts:
 
     * C < O (im2col): the k*k tap views of each image are copied, in one
       call, into one (k*k*C, span) patch matrix and contracted with the
-      (O, k*k*C) kernel in one matmul.  One image's buffer is reused
-      across the batch.
-    * C >= O (kn2row): one matmul per tap, summed into the output, which
-      starts as the first tap's product; for k = 1 that is the whole call.
+      (O, k*k*C) kernel in one matmul, whose rows are copied out before
+      the next image; the patch and product buffers hold one image.
+    * C >= O (kn2row): one matmul per tap, summed into a product of the
+      whole batch, which starts as the first tap's product; for k = 1
+      that is the whole call, and a C-contiguous ``out`` is the product
+      itself.
     """
     n, c, hp, wp = xp.shape
     o, _, k, _ = w.shape
     h, wd = hp - k + 1, wp - k + 1
     span = (h - 1) * wp + wd  # flat offsets from pixel (0, 0) to (h-1, wd-1)
+    dtype = np.result_type(xp, w)
+    if out is None:
+        out = np.empty((n, o, h, wd), dtype=dtype)
     flat = xp.reshape(n, c, hp * wp)
     taps = list(np.ndindex(k, k))
     if c < o:
@@ -170,7 +178,8 @@ def correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
         patches = np.lib.stride_tricks.as_strided(
             flat, (n, k, k, c, span), (sn, wp * sj, sj, sc, sj), writeable=False
         )
-        y = np.empty((n, o, span), dtype=np.result_type(xp, w))
+        y = np.empty((1, o, span), dtype=dtype)
+        rows = _rows(y, h, wd, wp)[0]
         cols = np.empty((k, k, c, span), dtype=xp.dtype)
         for b in range(n):
             # one copy per image, not one per tap: threads sampling at once
@@ -179,18 +188,27 @@ def correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
             cols[...] = patches[b]
             # a batch-of-one product: the plain 2-D call read 1.8 MB more
             # peak RSS on the benchmark's sample workload
-            np.matmul(wm, cols.reshape(1, k * k * c, span), out=y[b : b + 1])
-    else:
-        y = w[:, :, 0, 0] @ flat[:, :, :span]
-        for p, q in taps[1:]:
-            s = p * wp + q
-            y += w[:, :, p, q] @ flat[:, :, s : s + span]
-    # output row i is y[..., i*Wp : i*Wp+wd]; for k = 1 (Wp = wd) that is y
-    # itself and no copy is made
-    rows = np.lib.stride_tricks.as_strided(
-        y, (n, o, h, wd), (*y.strides[:2], wp * y.itemsize, y.itemsize)
+            np.matmul(wm, cols.reshape(1, k * k * c, span), out=y)
+            out[b] = rows
+        return out
+    # for k = 1 (Wp = wd) the rows are the product itself
+    direct = k == 1 and out.flags.c_contiguous and out.dtype == dtype
+    y = out.reshape(n, o, span) if direct else np.empty((n, o, span), dtype=dtype)
+    np.matmul(w[:, :, 0, 0], flat[:, :, :span], out=y)
+    for p, q in taps[1:]:
+        s = p * wp + q
+        y += w[:, :, p, q] @ flat[:, :, s : s + span]
+    if not direct:
+        out[...] = _rows(y, h, wd, wp)
+    return out
+
+
+def _rows(y: np.ndarray, h: int, wd: int, wp: int) -> np.ndarray:
+    """The (N, O, h, wd) view of the output rows in an (N, O, span)
+    product: row i is y[..., i*Wp : i*Wp+wd]."""
+    return np.lib.stride_tricks.as_strided(
+        y, (*y.shape[:2], h, wd), (*y.strides[:2], wp * y.itemsize, y.itemsize)
     )
-    return np.ascontiguousarray(rows)
 
 
 def correlate_wgrad(gy: np.ndarray, xp: np.ndarray, k: int) -> np.ndarray:

@@ -219,6 +219,47 @@ def test_coupling_logdet_matches_numeric_jacobian():
     assert ld == pytest.approx(want, abs=1e-3)
 
 
+def _random_coupling(c, hidden, dtype, seed):
+    rng = np.random.default_rng(seed)
+    cp = Coupling(c, hidden, rng, dtype)
+    conv3 = cp.net.conv3
+    conv3.w.value = rng.normal(scale=0.1, size=conv3.w.value.shape).astype(dtype)
+    conv3.b.value = rng.normal(scale=0.1, size=conv3.b.value.shape).astype(dtype)
+    return cp
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [8, 64])
+def test_cacheless_coupling_is_bit_identical_to_the_caching_one(dtype, hidden):
+    # 16 channels: conv1 maps 8 to `hidden`, by im2col at 64 and kn2row at 8
+    cp = _random_coupling(16, hidden, dtype, seed=60)
+    rng = np.random.default_rng(61)
+
+    def stale():
+        # bytes a larger or other-dtype call left behind must not reach a
+        # result: all-ones bytes are NaN in f32 and f64
+        if flow._WORKSPACE.hidden is not None:
+            flow._WORKSPACE.hidden.fill(0xFF)
+
+    def run():
+        for n in (33, 1, 7, 33):  # after the first, a larger buffer serves
+            x = rng.normal(size=(n, 16, 6, 10)).astype(dtype)
+            y, logdet, cache = cp.forward(x)
+            stale()
+            got = cp.forward(x, cache=False)
+            assert got[2] is None
+            assert got[1] == logdet
+            assert_bit_identical([got[0]], [y])
+            # Coupling.inverse as it was computed from the caching net
+            out, _ = cp.net.forward(y[:, :8])
+            s = 2.0 / (1.0 + np.exp(-out[:, 8:]))
+            want = np.concatenate([y[:, :8], (y[:, 8:] - out[:, :8]) / s], axis=1)
+            stale()
+            assert_bit_identical([cp.inverse(y)], [want])
+
+    in_fresh_thread(run)
+
+
 # ---------------------------------------------------------------------------
 # squeeze / split
 
@@ -253,6 +294,18 @@ def test_split_round_trip_bit_exact():
     x = rng.normal(size=(2, 6, 4, 4))
     x1, z, _, _ = sp.forward(x)
     assert np.array_equal(sp.inverse(x1, z), x)
+
+
+def test_split_latent_owns_its_bytes():
+    # a view of the split input would keep twice the latent's bytes alive
+    sp = Split(4, np.random.default_rng(18))
+    x = np.random.default_rng(19).normal(size=(2, 4, 4, 4))
+    _, z, _, _ = sp.forward(x)
+    assert z.base is None
+    assert np.array_equal(z, x[:, 2:])
+    model = toy_model(seed=20, levels=2, hw=16)
+    latents, _, _ = model.forward(np.random.default_rng(21).normal(size=(4, 4, 16, 16)))
+    assert all(z.base is None for z in latents)
 
 
 def test_split_temperature_zero_is_mean():
@@ -608,6 +661,18 @@ def test_conv2d_results_never_share_memory_with_the_workspace():
         assert planes
         for out in (y, gx, gw, gb):
             assert not any(np.shares_memory(out, plane) for plane in planes), k
+    # every cacheless coupling pass: forward, inverse and sample
+    model = toy_model(seed=30, levels=2, hw=8, hidden=8)
+    x = rng.normal(size=(3, 4, 8, 8))
+    latents, _, _ = model.forward(x)
+    outs = [*latents, model.inverse(latents), model.sample(3, 0.7, rng)]
+    coupling = next(layer for _, layer in model.layers if isinstance(layer, Coupling))
+    h = rng.normal(size=(3, 16, 4, 4))
+    outs += [coupling.forward(h, cache=False)[0], coupling.inverse(h)]
+    assert flow._WORKSPACE.hidden is not None
+    workspace = [flow._WORKSPACE.hidden, *flow._WORKSPACE.planes.values()]
+    for i, out in enumerate(outs):
+        assert not any(np.shares_memory(out, buf) for buf in workspace), i
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -670,26 +735,69 @@ def test_workspace_holds_a_bounded_number_of_planes():
     assert keys[-1][0] == (1, 1, side + 2, side + 2)
 
 
-def test_two_threads_sampling_one_model_match_sequential_calls():
-    model = toy_model(seed=37, dtype="f32", levels=2, hw=16, hidden=16)
-    seeds = {0: (1, 2, 3), 1: (4, 5, 6)}
-    want = {t: [model.sample(16, 0.7, np.random.default_rng(s)) for s in ss]
-            for t, ss in seeds.items()}
+def on_two_threads_at_once(draw):
+    """[draw(0), draw(1)], run on two threads that start together and
+    switch as often as the interpreter allows."""
     start = threading.Barrier(2)
 
-    def draw(t):
+    def run(t):
         start.wait()
-        return [model.sample(16, 0.7, np.random.default_rng(s)) for s in seeds[t]]
+        return draw(t)
 
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(2) as pool:
-            got = dict(zip(seeds, pool.map(draw, seeds)))
+            return list(pool.map(run, (0, 1)))
     finally:
         sys.setswitchinterval(interval)
-    for t in seeds:
-        assert_bit_identical(got[t], want[t])
+
+
+def test_two_threads_sampling_one_model_match_sequential_calls():
+    model = toy_model(seed=37, dtype="f32", levels=2, hw=16, hidden=16)
+    seeds = ((1, 2, 3), (4, 5, 6))
+
+    def draw(t):
+        return [model.sample(16, 0.7, np.random.default_rng(s)) for s in seeds[t]]
+
+    want = [draw(0), draw(1)]
+    for got, expected in zip(on_two_threads_at_once(draw), want):
+        assert_bit_identical(got, expected)
+
+
+def test_two_threads_sampling_on_the_pool_match_sequential_calls():
+    # each caller runs lane 0 of its batch on its own hidden buffer while a
+    # pool thread runs lane 1 on another
+    model = toy_model(seed=38, dtype="f32", levels=2, hw=8, hidden=64)
+    draws = ((40, 1), (70, 2))
+
+    def draw(t, times=1):
+        n, s = draws[t]
+        return [model.sample(n, 0.7, np.random.default_rng(s), workers=2) for _ in range(times)]
+
+    want = [draw(0), draw(1)]
+    for got, expected in zip(on_two_threads_at_once(lambda t: draw(t, 3)), want):
+        assert_bit_identical(got, expected * 3)
+
+
+def test_second_sample_transient_peak_is_bounded():
+    # the benchmark's model: a second sample(32) peaked at 7.26 MiB while
+    # each coupling-net pass allocated its hidden activations afresh, and
+    # at 3.4 MiB once they live in the thread's workspace
+    cfg = ModelConfig(4, 32, 32, levels=2, steps=2, kernel_size=3, hidden=64, dtype="f32")
+    model = FlowModel(cfg, np.random.default_rng(50), data_init=False)
+
+    def run():
+        model.sample(32, 0.7, np.random.default_rng(51))
+        tracemalloc.start()
+        try:
+            model.sample(32, 0.7, np.random.default_rng(51))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak = in_fresh_thread(run)
+    assert peak < 5 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------

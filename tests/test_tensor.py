@@ -159,6 +159,22 @@ def test_correlate_matches_per_tap_oracle(c, o, k, dtype):
         assert np.array_equal(y[i : i + 1], correlate(xp[i : i + 1], wt)), i
 
 
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("c, o", [(3, 8), (8, 3)])
+def test_correlate_writes_its_rows_into_out(c, o, k):
+    rng = np.random.default_rng(k * 10 + c)
+    xp = rng.normal(size=(4, c, 5 + k - 1, 7 + k - 1)).astype(np.float32)
+    wt = rng.normal(size=(o, c, k, k)).astype(np.float32)
+    want = correlate(xp, wt)
+    flipped = np.empty_like(want)[:, :, ::-1, ::-1]
+    wider = np.full((4, o + 2, 5, 7), np.nan, dtype=np.float32)
+    for out in (np.empty_like(want), flipped, wider[:, 1:-1]):
+        assert correlate(xp, wt, out=out) is out
+        assert np.array_equal(out, want)
+    # only the view was written
+    assert np.isnan(wider[:, [0, -1]]).all()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_ften_round_trip(tmp_path, dtype):
     rng = np.random.default_rng(4)
