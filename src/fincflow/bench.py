@@ -1,12 +1,14 @@
-"""Benchmark harness (timing protocol, CSV reports) and the correctness
-check suite behind the ``check`` subcommand.
+"""Benchmark harness (timing protocol, CSV reports, growth ratios) and
+the correctness check suite behind the ``check`` subcommand.
 
 Timing protocol: ``time_rounds`` runs every prepared case once per round
 for 11 rounds and discards the first round as warm-up; mean, sample
 standard deviation, and the 95% confidence half-width (t distribution, 9
 degrees of freedom) are computed over rounds 2-11.  The clock is
 monotonic with nanosecond resolution and wraps only the inversion call,
-never allocation or setup.
+never allocation or setup.  ``growth_ratios`` turns the reports of
+doubling sizes into per-doubling growth: the raster solve grows with the
+pixel count, the wavefront with the number of anti-diagonals.
 """
 
 from __future__ import annotations
@@ -110,11 +112,11 @@ def _timed(fn) -> float:
     return (time.perf_counter_ns() - t0) / 1e9
 
 
-def time_rounds(cases, rounds: int = RUNS_TOTAL) -> list[BenchReport]:
-    """Time prepared ``(report, call)`` cases in interleaved rounds: each
-    round times every case once, in list order, and appends the time to
-    its report's ``runs_s``.  Returns the reports."""
-    for _ in range(rounds):
+def time_rounds(cases) -> list[BenchReport]:
+    """Time prepared ``(report, call)`` cases in RUNS_TOTAL interleaved
+    rounds: each round times every case once, in list order, and appends
+    the time to its report's ``runs_s``.  Returns the reports."""
+    for _ in range(RUNS_TOTAL):
         for report, fn in cases:
             report.runs_s.append(_timed(fn))
     return [report for report, _ in cases]
@@ -166,24 +168,6 @@ def prepare_case(n, c, k, batch, strategy, seed, dtype, unit: bool):
     return report, fn
 
 
-def bench_invert(
-    n: int,
-    c: int,
-    k: int,
-    batch: int,
-    strategy: str,
-    *,
-    unit: bool = False,
-    seed: int = 0,
-    dtype=np.float32,
-    runs: int = RUNS_TOTAL,
-) -> BenchReport:
-    """Time one inversion strategy on an untrained random block or, with
-    ``unit``, a four-block unit (C divisible by 4) whose reference
-    strategy inverts the blocks one after another."""
-    return time_rounds([prepare_case(n, c, k, batch, strategy, seed, dtype, unit)], runs)[0]
-
-
 def write_gnuplot(reports: list[BenchReport], path) -> None:
     """Emit a gnuplot-compatible data file: one index block per strategy,
     columns n, mean_s, ci95_s."""
@@ -198,38 +182,20 @@ def write_gnuplot(reports: list[BenchReport], path) -> None:
                 fh.write("%d %.9e %.9e\n" % (r.n, r.mean_s, r.ci95_s))
 
 
-def measure_scaling(
-    sizes=(32, 64, 128),
-    c: int = 4,
-    k: int = 3,
-    runs: int = 10,
-    seed: int = 0,
-) -> dict:
-    """Wall times of the sequential raster inversion vs the wavefront on
-    one image across doubling sizes: the reports of both strategies at
-    every size (size-major, the bench CSV's row order), their medians and
-    growth ratios.  ``time_rounds`` times every case once in each of
-    runs+1 rounds, the first discarded; a ratio is the median over rounds
-    of one round's ratio of times, so a change of the host's clock speed
-    between rounds slows both sides alike.  The wavefront solves each of
-    its H+W-1 anti-diagonals with one batched gather and contraction."""
-    strategies = ("reference", "wavefront")
-    cases = [
-        prepare_case(n, c, k, 1, s, seed, np.float32, unit=False)
-        for n in sizes
-        for s in strategies
-    ]
-    reports = time_rounds(cases, runs + 1)
+def growth_ratios(reports: list[BenchReport]) -> dict[str, dict[tuple[int, int], float]]:
+    """Per strategy, the growth of its time over each consecutive pair of
+    sizes (in the reports' order) that both ran: the median over kept
+    rounds of one round's ratio of times, so a change of the host's clock
+    speed between rounds slows both sizes alike.  A strategy with no such
+    pair is left out."""
+    sizes = list(dict.fromkeys(r.n for r in reports))
     kept = {(r.strategy, r.n): r.kept for r in reports}
-    pairs = list(zip(sizes[:-1], sizes[1:]))
-    return {
-        "reports": reports,
-        "medians": {s: {n: float(np.median(kept[s, n])) for n in sizes} for s in strategies},
-        "ratios": {
-            s: {f"{a}->{b}": float(np.median(kept[s, b] / kept[s, a])) for a, b in pairs}
-            for s in strategies
-        },
-    }
+    ratios: dict[str, dict[tuple[int, int], float]] = {}
+    for s in dict.fromkeys(r.strategy for r in reports):
+        for a, b in zip(sizes, sizes[1:]):
+            if (s, a) in kept and (s, b) in kept:
+                ratios.setdefault(s, {})[a, b] = float(np.median(kept[s, b] / kept[s, a]))
+    return ratios
 
 
 # ---------------------------------------------------------------------------

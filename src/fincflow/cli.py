@@ -349,6 +349,11 @@ def cmd_bench(args) -> int:
     if args.gnuplot:
         bench_mod.write_gnuplot(reports, args.gnuplot)
         print(f"wrote {args.gnuplot}", file=sys.stderr)
+    kept = bench_mod.RUNS_TOTAL - bench_mod.RUNS_DISCARDED
+    for strategy, pairs in bench_mod.growth_ratios(reports).items():
+        for (a, b), ratio in pairs.items():
+            print(f"growth {strategy} {a}->{b}: {ratio:.2f}x (median of {kept} per-round ratios)",
+                  file=sys.stderr)
     return 0
 
 

@@ -285,10 +285,6 @@ def vectorize_hwc(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n, -1)
 
 
-def unvectorize_hwc(v: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
-    return np.ascontiguousarray(v.reshape(-1, h, w, c).transpose(0, 3, 1, 2))
-
-
 def _conv_matrix(kern: MaskedKernel, pos: np.ndarray) -> np.ndarray:
     """Dense f64 matrix of the block with pixel (i, j) at row and column
     block ``pos[i, j]``, channels innermost.  Each tap is one indexed add
@@ -346,7 +342,8 @@ def dense_invert(y: np.ndarray, kern: MaskedKernel) -> np.ndarray:
     mc = _conv_matrix(kern, canonical_permutation(kern.orientation, h, w, 1).reshape(h, w))
     vecs = vectorize_hwc(_tl_view(y, kern.orientation).astype(np.float64))
     sol = solve_triangular(mc, vecs.T, lower=True).T
-    return _tl_view(unvectorize_hwc(sol, c, h, w), kern.orientation).astype(y.dtype)
+    x = sol.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(_tl_view(x, kern.orientation), dtype=y.dtype)
 
 
 # ---------------------------------------------------------------------------

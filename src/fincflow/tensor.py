@@ -44,7 +44,8 @@ class Orientation(Enum):
     TL pads the top and left sides, so the image ends up in the
     bottom-right corner of the padded canvas; the other three follow the
     same naming rule.  TL is canonical: the others reduce to it by
-    flipping along the axes listed in ``flip_axes``.
+    flipping the height axis unless the top is padded and the width axis
+    unless the left is.
     """
 
     TL = "tl"
@@ -59,16 +60,6 @@ class Orientation(Enum):
     @property
     def pads_left(self) -> bool:
         return self in (Orientation.TL, Orientation.BL)
-
-    @property
-    def flip_axes(self) -> tuple[str, ...]:
-        """Axes along which to flip to turn this orientation into TL."""
-        axes = []
-        if not self.pads_top:
-            axes.append("height")
-        if not self.pads_left:
-            axes.append("width")
-        return tuple(axes)
 
 
 def require_nchw(x: np.ndarray, name: str = "tensor") -> np.ndarray:

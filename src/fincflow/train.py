@@ -31,8 +31,8 @@ class TrainConfig:
     workers: int = 1  # threads that run a step's batch chunks
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise BadFormat(f"lr must be > 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise BadFormat(f"lr must be finite and > 0, got {self.lr}")
         if not 0 < self.decay <= 1:
             raise BadFormat(f"decay must be in (0, 1], got {self.decay}")
         if self.grad_clip is not None and not (

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from fincflow.bench import BenchReport, bench_invert, measure_scaling
+from fincflow.bench import BenchReport, growth_ratios, prepare_case, time_rounds
 from fincflow.flow import CHUNK_IMAGES, FlowModel, ModelConfig, Squeeze
 from fincflow.invconv import (
     InvertStats,
@@ -281,19 +281,23 @@ def test_scaling_evidence():
     the wavefront, one vectorised solve per anti-diagonal, grows <= 3.5x
     (each ratio the median over 10 rounds, n in {32->64, 64->128}).
     Single-threaded, so it runs on any core count."""
-    out = measure_scaling(sizes=(32, 64, 128), c=4, k=3, runs=10, seed=0)
-    for pair, ratio in out["ratios"]["reference"].items():
+    strategies = ("reference", "wavefront")
+    cases = [prepare_case(n, 4, 3, 1, s, 0, np.float32, unit=False)
+             for n in (32, 64, 128) for s in strategies]
+    ratios = growth_ratios(time_rounds(cases))
+    assert [list(ratios[s]) for s in strategies] == [[(32, 64), (64, 128)]] * 2
+    for pair, ratio in ratios["reference"].items():
         assert ratio >= 3.5, ("reference", pair, ratio)
-    for pair, ratio in out["ratios"]["wavefront"].items():
+    for pair, ratio in ratios["wavefront"].items():
         assert ratio <= 3.5, ("wavefront", pair, ratio)
-    report(f"scaling evidence (reference {out['ratios']['reference']}, "
-           f"wavefront {out['ratios']['wavefront']})")
+    report(f"scaling evidence (reference {ratios['reference']}, "
+           f"wavefront {ratios['wavefront']})")
 
 
 def test_bench_methodology():
     """11 runs with the first discarded; mean/std/95% CI reproduce a
     recomputation from the raw per-run column to 1e-12."""
-    rep = bench_invert(16, 4, 3, 1, "wavefront", seed=3)
+    rep = time_rounds([prepare_case(16, 4, 3, 1, "wavefront", 3, np.float32, unit=False)])[0]
     assert len(rep.runs_s) == 11
     kept = np.asarray(rep.runs_s[1:])
     assert kept.shape == (10,)
