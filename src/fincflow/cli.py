@@ -307,6 +307,8 @@ def parse_sizes(raw: str) -> list[int]:
             raise BadFormat(f"bench sizes must be integers, got {tok!r}") from None
         if n < 8 or n > 256 or n & (n - 1):
             raise BadFormat(f"bench sizes must be powers of two in [8, 256], got {n}")
+        if n in sizes:
+            raise BadFormat(f"bench size {n} is given twice")
         sizes.append(n)
     if not sizes:
         raise BadFormat("no bench sizes given")

@@ -189,20 +189,24 @@ def _tl_view(a: np.ndarray, orientation: Orientation) -> np.ndarray:
     return a[..., :: 1 if orientation.pads_top else -1, :: 1 if orientation.pads_left else -1]
 
 
+def _groups(a: np.ndarray, c: int) -> list[np.ndarray]:
+    """Views of the consecutive c-channel groups of ``a``."""
+    return [a[:, i : i + c] for i in range(0, a.shape[1], c)]
+
+
 def _forward(x: np.ndarray, kernels: list[MaskedKernel]) -> np.ndarray:
     """Convolve channel group g of x with kernels[g] (all of one C and k).
     Each group is zero-padded in TL form straight from the TL view of its
-    channel slice, correlated with its TL kernel (made contiguous: a
-    strided one can push matmul off BLAS and change the bits), which
-    writes its rows through the TL view of its slice of the one output."""
+    channel slice, correlated with its TL kernel, which writes its rows
+    through the TL view of its slice of the one output."""
     n, _, h, w = x.shape
-    g_cnt, c, k = len(kernels), kernels[0].channels, kernels[0].k
+    c, k = kernels[0].channels, kernels[0].k
     y = np.empty_like(x)
     # every group fills the same interior, so the zero border is shared
     xp = np.zeros((n, c, h + k - 1, w + k - 1), dtype=x.dtype)
-    for xg, yg, kern in zip(np.split(x, g_cnt, 1), np.split(y, g_cnt, 1), kernels):
+    for xg, yg, kern in zip(_groups(x, c), _groups(y, c), kernels):
         xp[:, :, k - 1 :, k - 1 :] = _tl_view(xg, kern.orientation)
-        kw = np.ascontiguousarray(_tl_view(kern.weights, kern.orientation), dtype=x.dtype)
+        kw = _tl_view(kern.weights, kern.orientation).astype(x.dtype, copy=False)
         correlate(xp, kw, out=_tl_view(yg, kern.orientation))
     return y
 
@@ -221,10 +225,10 @@ def _backward(
         for kern in kernels
     ]
     n, _, h, w = x.shape
-    g_cnt, c, k = len(kernels), kernels[0].channels, kernels[0].k
+    c, k = kernels[0].channels, kernels[0].k
     grads_w = []
     xp = np.empty((n, c, h + k - 1, w + k - 1), dtype=x.dtype)
-    for xg, gyg, kern in zip(np.split(x, g_cnt, 1), np.split(grad_y, g_cnt, 1), kernels):
+    for xg, gyg, kern in zip(_groups(x, c), _groups(grad_y, c), kernels):
         tl = _tl_view(xp, kern.orientation)
         # the previous group's interior may cover this group's border
         tl[:, :, : k - 1] = 0.0
@@ -426,9 +430,12 @@ def _invert(
 
     (K the TL-form kernel) is one gather of the (G, P, (k*k-1)*C, N)
     patch of all P pixels on the diagonal and one batched matmul with
-    the (G, C, (k*k-1)*C) tap matrix.  Out-of-image taps read the zero
-    padding, so no tap needs a validity mask.  The H+W-1 diagonals are
-    the sequential phases: each reads the values the previous ones wrote.
+    the (G, C, (k*k-1)*C) tap matrix.  For one image (N = 1) that matmul
+    would be G*P matrix-vector products, so the pixels become the rows
+    of one (P, (k*k-1)*C) @ ((k*k-1)*C, C) product per group instead.
+    Out-of-image taps read the zero padding, so no tap needs a validity
+    mask.  The H+W-1 diagonals are the sequential phases: each reads the
+    values the previous ones wrote.
     """
     n, _, h, w = y.shape
     g_cnt, c, k = len(kernels), kernels[0].channels, kernels[0].k
@@ -437,15 +444,22 @@ def _invert(
     xp = np.zeros((g_cnt, h + k - 1, w + k - 1, c, n), dtype=y.dtype)
     # tapmat[g, 0, c, t*C + k_c] = K[g, c, k_c, k-1-k_h, k-1-k_w], tap t = k_h*k + k_w
     tapmat = np.empty((g_cnt, 1, c, (k * k - 1) * c), dtype=y.dtype)
-    for xg, tg, yg, kern in zip(xp, tapmat[:, 0], np.split(y, g_cnt, 1), kernels):
+    for xg, tg, yg, kern in zip(xp, tapmat[:, 0], _groups(y, c), kernels):
         xg[k - 1 :, k - 1 :] = _tl_view(yg, kern.orientation).transpose(2, 3, 1, 0)
         kflip = _tl_view(kern.weights, kern.orientation)[:, :, ::-1, ::-1]
         tg[...] = kflip.reshape(c, c, k * k)[..., 1:].transpose(0, 2, 1).reshape(tg.shape)
     flat = xp.reshape(g_cnt, -1, c, n)
-    for diag in plan:
-        patch = np.take(flat, diag.gather, axis=1)  # (G, P, k*k-1, C, N)
-        patch = patch.reshape(g_cnt, len(diag.gather), (k * k - 1) * c, n)
-        flat[:, diag.target] -= np.matmul(tapmat, patch)
+    if n == 1:
+        flat, tap_rows = flat[..., 0], tapmat[:, 0].transpose(0, 2, 1)
+        for diag in plan:
+            patch = flat.take(diag.gather, axis=1)  # (G, P, k*k-1, C)
+            patch = patch.reshape(g_cnt, len(diag.gather), (k * k - 1) * c)
+            flat[:, diag.target] -= patch @ tap_rows
+    else:
+        for diag in plan:
+            patch = flat.take(diag.gather, axis=1)  # (G, P, k*k-1, C, N)
+            patch = patch.reshape(g_cnt, len(diag.gather), (k * k - 1) * c, n)
+            flat[:, diag.target] -= np.matmul(tapmat, patch)
     if stats is not None:
         stats.phases += len(plan)
         stats.madds += g_cnt * n * c * c * sum(diag.taps for diag in plan)
@@ -453,7 +467,7 @@ def _invert(
             stats.max_element_madds, c * max(diag.max_taps for diag in plan)
         )
     x = np.empty_like(y)
-    for xg, sol, kern in zip(np.split(x, g_cnt, 1), xp, kernels):
+    for xg, sol, kern in zip(_groups(x, c), xp, kernels):
         _tl_view(xg, kern.orientation)[...] = sol[k - 1 :, k - 1 :].transpose(3, 2, 0, 1)
     return x
 

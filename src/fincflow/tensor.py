@@ -6,7 +6,7 @@ and reads the body of a ``.ften`` file and each checkpoint parameter.
 ``correlate`` is BLAS matmuls over the flattened padded plane.  It picks
 its layout from the channel counts of each call: im2col (one matmul per
 image over a one-image patch buffer) when it widens the channels, kn2row
-(one matmul per kernel tap, no copy) otherwise.
+(one matmul per kernel tap, no patch copy) otherwise.
 
 Tensors are plain numpy arrays in C order with dtype float32 or float64.
 The element at (n, c, h, w) lives at flat offset ((n*C + c)*H + h)*W + w,
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,7 +152,9 @@ def correlate(xp: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> n
     * C >= O (kn2row): one matmul per tap, summed into a product of the
       whole batch, which starts as the first tap's product; for k = 1
       that is the whole call, and a C-contiguous ``out`` is the product
-      itself.
+      itself.  Each tap's (O, C) matrix is a contiguous slice of one
+      (k, k, O, C) copy of the kernel, so BLAS takes it as it is; a
+      strided ``w[:, :, p, q]`` is copied by numpy once per image.
     """
     n, c, hp, wp = xp.shape
     o, _, k, _ = w.shape
@@ -161,14 +164,12 @@ def correlate(xp: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> n
     if out is None:
         out = np.empty((n, o, h, wd), dtype=dtype)
     flat = xp.reshape(n, c, hp * wp)
-    taps = list(np.ndindex(k, k))
     if c < o:
         wm = w.transpose(0, 2, 3, 1).reshape(o, k * k * c)
+        flat = np.ascontiguousarray(flat)  # the patch view is cut from its buffer
         sn, sc, sj = flat.strides
         # patches[b, p, q, c, j] = flat[b, c, p*Wp + q + j]
-        patches = np.lib.stride_tricks.as_strided(
-            flat, (n, k, k, c, span), (sn, wp * sj, sj, sc, sj), writeable=False
-        )
+        patches = np.ndarray((n, k, k, c, span), flat.dtype, flat, 0, (sn, wp * sj, sj, sc, sj))
         y = np.empty((1, o, span), dtype=dtype)
         rows = _rows(y, h, wd, wp)[0]
         cols = np.empty((k, k, c, span), dtype=xp.dtype)
@@ -185,37 +186,48 @@ def correlate(xp: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> n
     # for k = 1 (Wp = wd) the rows are the product itself
     direct = k == 1 and out.flags.c_contiguous and out.dtype == dtype
     y = out.reshape(n, o, span) if direct else np.empty((n, o, span), dtype=dtype)
-    np.matmul(w[:, :, 0, 0], flat[:, :, :span], out=y)
-    for p, q in taps[1:]:
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    np.matmul(wt[0, 0], flat[:, :, :span], out=y)
+    for p, q in _taps(k)[1:]:
         s = p * wp + q
-        y += w[:, :, p, q] @ flat[:, :, s : s + span]
+        y += wt[p, q] @ flat[:, :, s : s + span]
     if not direct:
         out[...] = _rows(y, h, wd, wp)
     return out
 
 
+@lru_cache(maxsize=None)
+def _taps(k: int) -> tuple[tuple[int, int], ...]:
+    """The (p, q) taps of a k x k kernel in raster order."""
+    return tuple((p, q) for p in range(k) for q in range(k))
+
+
 def _rows(y: np.ndarray, h: int, wd: int, wp: int) -> np.ndarray:
-    """The (N, O, h, wd) view of the output rows in an (N, O, span)
-    product: row i is y[..., i*Wp : i*Wp+wd]."""
-    return np.lib.stride_tricks.as_strided(
-        y, (*y.shape[:2], h, wd), (*y.strides[:2], wp * y.itemsize, y.itemsize)
-    )
+    """The (N, O, h, wd) view of the output rows in a C-contiguous
+    (N, O, span) product: row i is y[..., i*Wp : i*Wp+wd]."""
+    strides = (*y.strides[:2], wp * y.itemsize, y.itemsize)
+    return np.ndarray((*y.shape[:2], h, wd), y.dtype, y, 0, strides)
 
 
 def correlate_wgrad(gy: np.ndarray, xp: np.ndarray, k: int) -> np.ndarray:
     """Kernel gradient of ``correlate``: the (O, C, k, k) array
     g[o,c,p,q] = sum_{n,i,j} gy[n,o,i,j] xp[n,c,i+p,j+q].  gy is laid out
-    on the flattened plane of ``correlate`` (zeros in the gap columns) and
-    each tap is one batched matmul with a strided view of xp."""
+    on the flattened plane of ``correlate`` (zeros in the k-1 gap columns;
+    for k = 1 there are none, so gy is read in place) and each tap is one
+    batched matmul with a strided view of xp."""
     n, o, h, wd = gy.shape
     c, hp, wp = xp.shape[1:]
     span = (h - 1) * wp + wd
     flat = xp.reshape(n, c, hp * wp)
-    gyp = np.zeros((n, o, h, wp), dtype=gy.dtype)
-    gyp[:, :, :, :wd] = gy
-    gyp = gyp.reshape(n, o, h * wp)[:, :, :span]
+    if k == 1:
+        gyp = gy.reshape(n, o, span)
+    else:
+        gyp = np.empty((n, o, h, wp), dtype=gy.dtype)
+        gyp[:, :, :, :wd] = gy
+        gyp[:, :, :, wd:] = 0.0
+        gyp = gyp.reshape(n, o, h * wp)[:, :, :span]
     g = np.empty((o, c, k, k), dtype=np.result_type(gy, xp))
-    for p, q in np.ndindex(k, k):
+    for p, q in _taps(k):
         s = p * wp + q
         g[:, :, p, q] = np.matmul(gyp, flat[:, :, s : s + span].transpose(0, 2, 1)).sum(axis=0)
     return g

@@ -664,6 +664,11 @@ def test_cli_bench_rejects_bad_sizes(capsys):
     capsys.readouterr()
     assert main(["bench", "--sizes", "abc"]) == 1
     assert "error:" in capsys.readouterr().err
+    # a repeated size would time its case twice and write two rows for it
+    assert main(["bench", "--sizes", "16,8,16", "--strategies", "wavefront"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "16" in captured.err
+    assert "wavefront" not in captured.out
     assert main(["bench", "--sizes", "8", "--batch", "-1"]) == 1
     assert "error:" in capsys.readouterr().err
     for workers in ("0", "-3"):

@@ -378,6 +378,33 @@ def test_unit_invert_matches_per_block_reference():
         assert np.max(np.abs(whole - np.concatenate(parts, axis=1))) < 1e-9, (k, shape)
 
 
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-9), (np.float32, 1e-4)])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("h, w", [(6, 10), (8, 8)])
+def test_unit_invert_batch_of_one(h, w, k, dtype, tol):
+    # one image runs its diagonals with the pixels as matmul rows; it must
+    # still match both oracles, the same image inverted inside a batch,
+    # and the phase and multiply-add counts of a batch
+    rng = np.random.default_rng(h * 100 + k)
+    unit = random_unit(8, k, rng, dtype)
+    batch = rng.normal(size=(3, 8, h, w)).astype(dtype)
+    y = batch[1:2]
+    one, three = InvertStats(), InvertStats()
+    x = unit_invert(y, unit, stats=one)
+    assert x.dtype == dtype
+    in_batch = unit_invert(batch, unit, stats=three)[1:2]
+    assert np.max(np.abs(x - in_batch)) < (1e-12 if dtype == np.float64 else 1e-5)
+    quarters = channel_split(y, 4)
+    dense = [dense_invert(q.astype(np.float64), blk) for q, blk in zip(quarters, unit.blocks)]
+    ref = [pcb_invert_reference(q, blk) for q, blk in zip(quarters, unit.blocks)]
+    assert np.max(np.abs(x - np.concatenate(dense, axis=1))) < tol
+    assert np.max(np.abs(x - np.concatenate(ref, axis=1))) < tol
+    assert one.phases == three.phases == h + w - 1
+    assert one.madds == madds_enumeration(h, w, k, 2, n=1, groups=4)
+    assert 3 * one.madds == three.madds
+    assert one.max_element_madds == three.max_element_madds
+
+
 def test_unit_invert_shares_barrier_phases():
     rng = np.random.default_rng(18)
     unit = random_unit(8, 3, rng)

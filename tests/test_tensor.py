@@ -165,6 +165,58 @@ def test_correlate_matches_per_tap_oracle(c, o, k, dtype):
         assert np.array_equal(y[i : i + 1], correlate(xp[i : i + 1], wt)), i
 
 
+def strided_tap_correlate(xp, w):
+    """kn2row as one matmul per tap with the strided (O, C) slice
+    w[:, :, p, q], summed on the flattened padded plane."""
+    n, c, hp, wp = xp.shape
+    o, _, k, _ = w.shape
+    h, wd = hp - k + 1, wp - k + 1
+    span = (h - 1) * wp + wd
+    flat = xp.reshape(n, c, hp * wp)
+    y = np.matmul(w[:, :, 0, 0], flat[:, :, :span])
+    for p, q in list(np.ndindex(k, k))[1:]:
+        s = p * wp + q
+        y += w[:, :, p, q] @ flat[:, :, s : s + span]
+    rows = np.zeros((n, o, h * wp), dtype=y.dtype)
+    rows[:, :, :span] = y
+    return rows.reshape(n, o, h, wp)[:, :, :, :wd]
+
+
+def gap_layout_wgrad(gy, xp, k):
+    """correlate_wgrad with gy copied into a zero-filled plane of Wp columns."""
+    n, o, h, wd = gy.shape
+    c, hp, wp = xp.shape[1:]
+    span = (h - 1) * wp + wd
+    flat = xp.reshape(n, c, hp * wp)
+    gyp = np.zeros((n, o, h, wp), dtype=gy.dtype)
+    gyp[:, :, :, :wd] = gy
+    gyp = gyp.reshape(n, o, h * wp)[:, :, :span]
+    g = np.empty((o, c, k, k), dtype=np.result_type(gy, xp))
+    for p, q in np.ndindex(k, k):
+        s = p * wp + q
+        g[:, :, p, q] = np.matmul(gyp, flat[:, :, s : s + span].transpose(0, 2, 1)).sum(axis=0)
+    return g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 7, 33])
+@pytest.mark.parametrize("k", [1, 3])
+def test_kn2row_and_wgrad_bits_match_strided_tap_loops(k, n, dtype):
+    # the tap matrices come from one contiguous copy of the kernel, and a
+    # k = 1 weight gradient reads gy in place: neither may move a bit
+    rng = np.random.default_rng(k * 100 + n)
+    c, o, h, w = 16, 8, 6, 9
+    xp = rng.normal(size=(n, c, h + k - 1, w + k - 1)).astype(dtype)
+    wt = rng.normal(size=(o, c, k, k)).astype(dtype)
+    # the input-gradient kernel of a narrowing conv: negative strides
+    flipped = rng.normal(size=(c, o, k, k)).astype(dtype).swapaxes(0, 1)[:, :, ::-1, ::-1]
+    for kern in (wt, flipped):
+        assert np.array_equal(correlate(xp, kern), strided_tap_correlate(xp, kern))
+    # gy as a channel slice of a larger gradient, as a unit's groups pass it
+    gy = rng.normal(size=(n, 2 * o, h, w)).astype(dtype)[:, o:]
+    assert np.array_equal(correlate_wgrad(gy, xp, k), gap_layout_wgrad(gy, xp, k))
+
+
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("c, o", [(3, 8), (8, 3)])
 def test_correlate_writes_its_rows_into_out(c, o, k):
