@@ -94,9 +94,14 @@ def gaussian_logp_grads(z, mean, log_sd):
 
 
 # Padded planes a thread keeps for reuse; the least recently used goes
-# first.  The benchmark's train step touches 6 distinct planes, sample and
-# reconstruct 2 each besides the coupling nets' hidden buffer.
+# first.  The benchmark's train step touches 6 distinct planes and
+# reconstruct 2 besides the coupling nets' hidden buffer; sample touches 3,
+# as conv1 pads each image block of ``CouplingNet.apply`` on its own.
 _PLANE_SLOTS = 8
+# Most bytes of hidden activations a cacheless coupling net holds at once:
+# ``CouplingNet.apply`` runs its batch in image blocks that fit, so the
+# thread's hidden buffer stays within a core's L2 cache.
+_HIDDEN_BLOCK_BYTES = 3 << 19  # 1.5 MiB
 
 
 class _PlaneWorkspace(threading.local):
@@ -110,11 +115,13 @@ class _PlaneWorkspace(threading.local):
     def hidden_arrays(self, shape, dtype, keep):
         """An (N, C, H+2, W+2) plane and an (N, C, H, W) array for
         ``shape`` = (N, C, H, W), back to back in one buffer of bytes that
-        every shape and dtype share, holding what the last call left.  With
-        ``keep`` the buffer is this thread's, grown to fit and kept for the
-        next call.  Without it this thread's buffer serves if it is large
-        enough, and otherwise a new one lives as long as the arrays, so a
-        forward pass never pins them."""
+        every shape and dtype share, holding what the last call left; N is
+        the images of the largest block of ``CouplingNet.apply``, whose
+        smaller blocks use the leading images of both.  With ``keep`` the
+        buffer is this thread's, grown to fit and kept for the next call.
+        Without it this thread's buffer serves if it is large enough, and
+        otherwise a new one lives as long as the arrays, so a forward pass
+        never pins them."""
         n, c, h, w = shape
         plane = n * c * (h + 2) * (w + 2)
         size = (plane + math.prod(shape)) * np.dtype(dtype).itemsize
@@ -223,7 +230,8 @@ class CouplingNet:
     in place, as they are fresh arrays too.
 
     ``apply`` computes the same bits and keeps nothing: its hidden
-    activations live in the thread's workspace."""
+    activations live in the thread's workspace, one block of images at a
+    time."""
 
     def __init__(self, c_in, c_out, hidden, rng, dtype):
         self.conv1 = Conv2d(c_in, hidden, 3, rng, dtype)
@@ -244,32 +252,42 @@ class CouplingNet:
         return out, (x, a1, a2)
 
     def apply(self, x, keep_buffer):
-        """``forward``'s output alone, from two arrays of the thread's
+        """``forward``'s output alone, in near-equal blocks of at most
+        ``_HIDDEN_BLOCK_BYTES // per_image`` images (at least one), where
+        ``per_image`` is what one image takes of two arrays of the thread's
         workspace (``_PlaneWorkspace.hidden_arrays``, which keeps their
-        buffer given ``keep_buffer``): a zero-bordered (N, hidden, H+2,
-        W+2) plane and an (N, hidden, H, W) array for a2.  conv1 writes a1
-        into the front of the plane's memory, conv2 reads it and writes a2,
-        and a2 is then copied into the plane's interior and its border
-        zeroed, so conv3 reads the plane as its padded input.  Every matmul
-        sees the operands of ``forward``.  conv2 in particular works on
-        a1's H*W pixels, not on the flattened plane: there its columns
-        would move and, with them, the bits of some BLAS kernels."""
+        buffer given ``keep_buffer``): a zero-bordered (hidden, H+2, W+2)
+        plane and a (hidden, H, W) array for a2.  Per block, conv1 writes
+        a1 into the front of the plane's memory, conv2 reads it and writes
+        a2, and a2 is then copied into the plane's interior and its border
+        zeroed, so conv3 reads the plane as its padded input and writes
+        the block's rows of the one output.  Every matmul sees the
+        operands of ``forward``, one image at a time, so blocking keeps
+        the bits.  conv2 in particular works on a1's H*W pixels, not on
+        the flattened plane: there its columns would move and, with them,
+        the bits of some BLAS kernels."""
         n, _, h, w = x.shape
-        plane, a2 = _WORKSPACE.hidden_arrays(
-            (n, self.conv2.w.value.shape[0], h, w), x.dtype, keep_buffer
-        )
-        a1 = plane.reshape(-1)[: a2.size].reshape(a2.shape)
-        self.conv1.forward_padded(self.conv1._padded(x), a1)
-        np.maximum(a1, 0.0, out=a1)
-        self.conv2.forward_padded(a1, a2)
-        np.maximum(a2, 0.0, out=a2)
-        plane[:, :, 1:-1, 1:-1] = a2
-        # the whole border: a1 or another shape's arrays may have covered it
-        plane[:, :, 0] = 0.0
-        plane[:, :, -1] = 0.0
-        plane[:, :, 1:-1, 0] = 0.0
-        plane[:, :, 1:-1, -1] = 0.0
-        return self.conv3.forward_padded(plane)
+        hidden = self.conv2.w.value.shape[0]
+        per_image = hidden * ((h + 2) * (w + 2) + h * w) * x.dtype.itemsize
+        bounds = _near_equal_bounds(n, max(1, _HIDDEN_BLOCK_BYTES // per_image))
+        planes, a2s = _WORKSPACE.hidden_arrays((bounds[0][1], hidden, h, w), x.dtype, keep_buffer)
+        w3 = self.conv3.w.value
+        out = np.empty((n, w3.shape[0], h, w), np.result_type(x, w3))
+        for lo, hi in bounds:
+            plane, a2 = planes[: hi - lo], a2s[: hi - lo]
+            a1 = plane.reshape(-1)[: a2.size].reshape(a2.shape)
+            self.conv1.forward_padded(self.conv1._padded(x[lo:hi]), a1)
+            np.maximum(a1, 0.0, out=a1)
+            self.conv2.forward_padded(a1, a2)
+            np.maximum(a2, 0.0, out=a2)
+            plane[:, :, 1:-1, 1:-1] = a2
+            # the whole border: a1 or another shape's arrays may have covered it
+            plane[:, :, 0] = 0.0
+            plane[:, :, -1] = 0.0
+            plane[:, :, 1:-1, 0] = 0.0
+            plane[:, :, 1:-1, -1] = 0.0
+            self.conv3.forward_padded(plane, out[lo:hi])
+        return out
 
     def backward(self, gout, cache, grads):
         x, a1, a2 = cache
@@ -596,6 +614,16 @@ def _chunk_pool():
         return _pool
 
 
+def _near_equal_bounds(n, most):
+    """The (lo, hi) bounds, in order, of the fewest near-equal parts of at
+    most ``most`` items that cover range(n); the larger parts come first,
+    as in ``np.array_split``."""
+    parts = -(-n // most)
+    size, extra = divmod(n, parts)
+    edges = [i * size + min(i, extra) for i in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 def _run_chunks(n, workers, run, most=CHUNK_IMAGES):
     """``run(lo, hi)`` on the near-equal chunks of at most ``most`` images
     of a batch of ``n``; returns the results in chunk order.
@@ -605,8 +633,7 @@ def _run_chunks(n, workers, run, most=CHUNK_IMAGES):
     planes; pool threads run the others, and at one lane the pool is not
     made.  Every lane finishes before an error from any of them is
     raised."""
-    parts = np.array_split(np.arange(n), -(-n // most))
-    bounds = [(int(p[0]), int(p[-1]) + 1) for p in parts]
+    bounds = _near_equal_bounds(n, most)
     lanes = min(workers, len(bounds), _MAX_POOL_THREADS + 1)
 
     def lane(i):
@@ -841,14 +868,17 @@ class FlowModel:
     def _backward(self, caches, h_final, gld, grads):
         """Backward from the ``caches`` of a ``_forward`` and its final
         latent ``h_final`` with grad_logdet ``gld``: adds every parameter
-        gradient into the map ``grads`` and returns the input gradient."""
+        gradient into the map ``grads`` and returns the input gradient.
+        It empties ``caches``, popping each layer's cache as it passes that
+        layer, so the chunk's caches are freed in reverse order."""
         mean = self.prior_mean.value[None, :, None, None]
         log_sd = self.prior_log_sd.value[None, :, None, None]
         dz, dmean, dlog_sd = gaussian_logp_grads(h_final, mean, log_sd)
         g = gld * dz
         grads[self.prior_mean] += gld * dmean.sum(axis=(0, 2, 3))
         grads[self.prior_log_sd] += gld * dlog_sd.sum(axis=(0, 2, 3))
-        for (_, layer), cache in zip(reversed(self.layers), reversed(caches)):
+        for _, layer in reversed(self.layers):
+            cache = caches.pop()
             if layer is Squeeze:
                 g = Squeeze.backward(g)
             else:

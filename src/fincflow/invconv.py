@@ -182,11 +182,19 @@ def random_unit(c: int, k: int, rng: np.random.Generator, dtype=np.float64) -> F
     )
 
 
+# Each orientation's index of ``_tl_view``, made once: reading the two
+# Orientation properties cost three times the slice itself per call.
+_TL_INDEX = {
+    o: (..., *(slice(None, None, 1 if pad else -1) for pad in (o.pads_top, o.pads_left)))
+    for o in Orientation
+}
+
+
 def _tl_view(a: np.ndarray, orientation: Orientation) -> np.ndarray:
     """``a`` flipped over its last two axes into TL form, the orientation's
     raster order: a view, no copy.  The flip is its own inverse, so a TL-form
     result written through the view of an output lands in the orientation's frame."""
-    return a[..., :: 1 if orientation.pads_top else -1, :: 1 if orientation.pads_left else -1]
+    return a[_TL_INDEX[orientation]]
 
 
 def _groups(a: np.ndarray, c: int) -> list[np.ndarray]:

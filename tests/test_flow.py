@@ -260,6 +260,62 @@ def test_cacheless_coupling_is_bit_identical_to_the_caching_one(dtype, hidden):
     in_fresh_thread(run)
 
 
+def test_near_equal_bounds_cover_the_batch_in_parts_of_at_most_most():
+    for n in range(1, 70):
+        for most in (1, 2, 3, 7, 8, 32, 100):
+            bounds = flow._near_equal_bounds(n, most)
+            sizes = [hi - lo for lo, hi in bounds]
+            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+            assert bounds[-1][1] == n
+            assert len(sizes) == -(-n // most) and max(sizes) <= most
+            assert sizes == [len(p) for p in np.array_split(np.arange(n), len(sizes))]
+
+
+def _hidden_bytes_per_image(hidden, side, dtype):
+    """What one image takes of a coupling net's hidden buffer."""
+    return hidden * ((side + 2) ** 2 + side * side) * np.dtype(dtype).itemsize
+
+
+@pytest.mark.parametrize("keep_buffer", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_apply_is_bit_identical_to_the_caching_net(dtype, keep_buffer):
+    net = _random_coupling(32, 64, dtype, seed=62).net
+    rng = np.random.default_rng(63)
+    most = flow._HIDDEN_BLOCK_BYTES // _hidden_bytes_per_image(64, 8, dtype)
+    big = _hidden_bytes_per_image(64, 32, dtype)
+    if dtype == np.float32:
+        # at 32x32 a batch of 5 runs in blocks of 2, 2 and 1
+        assert flow._HIDDEN_BLOCK_BYTES // big == 2
+
+    def run():
+        for n, side in ((1, 8), (most, 8), (most + 1, 8), (33, 8), (5, 32), (1, 8)):
+            x = rng.normal(size=(n, 16, side, side)).astype(dtype)
+            want, _ = net.forward(x)
+            if flow._WORKSPACE.hidden is not None:
+                flow._WORKSPACE.hidden.fill(0xFF)  # NaN in f32 and f64
+            assert_bit_identical([net.apply(x, keep_buffer)], [want])
+        return flow._WORKSPACE.hidden
+
+    hidden = in_fresh_thread(run)
+    if keep_buffer:
+        assert hidden.nbytes <= max(flow._HIDDEN_BLOCK_BYTES, big)
+    else:
+        assert hidden is None
+
+
+def test_sample_keeps_a_hidden_buffer_of_at_most_one_block():
+    # the benchmark's model: level 0's coupling nets run on 16x16
+    cfg = ModelConfig(4, 32, 32, levels=2, steps=2, kernel_size=3, hidden=64, dtype="f32")
+    model = FlowModel(cfg, np.random.default_rng(64), data_init=False)
+
+    def run():
+        model.sample(64, 0.7, np.random.default_rng(65))
+        return flow._WORKSPACE.hidden.nbytes
+
+    one_image = _hidden_bytes_per_image(64, 16, np.float32)
+    assert in_fresh_thread(run) <= max(flow._HIDDEN_BLOCK_BYTES, one_image)
+
+
 # ---------------------------------------------------------------------------
 # squeeze / split
 
